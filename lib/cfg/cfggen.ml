@@ -123,13 +123,22 @@ let targets_of_site input site =
    and target sets only grow — so [merge] only has to propagate the
    new module's contributions.
 
-   ECNs are *not* stored: they are recomputed after every merge by the
-   same canonical rule [generate] uses (targets in ascending address
-   order, first encounter of a class root gets the next ECN; then Bary
-   slots in ascending order, empty sites get fresh ECNs).  Because new
-   code is appended at higher addresses, class ranks — hence ECNs — are
-   stable for untouched classes, and the delta computed against the
-   last installed assignment stays proportional to the new module. *)
+   [merge] mutates the state in place.  Every write — hashtable,
+   type-class field, state field, union-find parent/rank (path
+   compression included) — is logged on a trail while a checkpoint is
+   open, and [rollback] replays the trail backwards.  [merge] runs under
+   its own checkpoint, so a merge that raises part-way undoes itself;
+   the loader holds an outer one for the whole load and commits it on
+   success, which drops the trail.
+
+   ECNs follow [generate]'s canonical rule, applied per class instead
+   of per element: the union-find roots that hold a target are ranked by
+   their least target address, and the sites whose root holds none
+   (empty sites) follow in slot order.  The state keeps, per root, its
+   least address, so a merge ranks ~classes, not targets.  Because new
+   code is appended at higher addresses, the ranks — hence ECNs — of
+   untouched classes are stable, and the delta only has to visit the
+   new module's keys and the members of classes whose ECN moved. *)
 
 module UFD = Mcfi_util.Union_find.Dynamic
 
@@ -191,6 +200,18 @@ type tyclass = {
   mutable tc_has_ret_slot : bool;
 }
 
+(* The installed ECN assignment.  Immutable: a merge builds a new one. *)
+type assignment = {
+  a_ecn_of_root : (int, int) Hashtbl.t;  (* target classes only *)
+  a_empty : int array;  (* empty sites, ascending; [a_empty.(i)] has ECN
+                           [n_eqcs + i] *)
+  (* ECN -> one installed member: the class's least address, or the
+     empty site itself.  Every installed member of a class carries the
+     class's version, so this is the donor a grow entry reads. *)
+  a_rep : donor array;
+  a_stats : stats;
+}
+
 type state = {
   mutable st_env : Minic.Types.env;
   st_defined : (string, fn) Hashtbl.t;
@@ -209,13 +230,23 @@ type state = {
   st_uf : UFD.t;
   st_addr_node : (int, int) Hashtbl.t;
   mutable st_targets : IS.t;
-  st_site_node : (int, int) Hashtbl.t;
-  (* ECN maps as last handed out in a delta, i.e. what the caller has
-     installed in the live tables. *)
-  mutable st_installed_tary : (int, int) Hashtbl.t;
-  mutable st_installed_bary : (int, int) Hashtbl.t;
-  mutable st_stats : stats;
+  mutable st_ntargets : int;
+  (* Slot -> union-find node, and node -> the table key it stands for:
+     [2 * addr] for a target, [2 * slot + 1] for a site, [-1] for a
+     class anchor.  Entries are only written for a fresh slot or node,
+     so they need no trail: a rollback drops the slot or node, and the
+     entry is rewritten when it is allocated again. *)
+  mutable st_site_node : int array;
+  mutable st_node_key : int array;
+  (* root -> least target address in its set, for roots holding one *)
+  st_min : (int, int) Hashtbl.t;
+  mutable st_asg : assignment;
+  (* undo closures, newest first, while a checkpoint is open *)
+  mutable st_trail : (unit -> unit) list;
+  mutable st_open : int;  (* open checkpoints *)
 }
+
+type checkpoint = { cp_trail : (unit -> unit) list; cp_uf : UFD.mark }
 
 let empty_state () =
   {
@@ -235,207 +266,231 @@ let empty_state () =
     st_uf = UFD.create ();
     st_addr_node = Hashtbl.create 256;
     st_targets = IS.empty;
-    st_site_node = Hashtbl.create 64;
-    st_installed_tary = Hashtbl.create 256;
-    st_installed_bary = Hashtbl.create 64;
-    st_stats = { n_ibs = 0; n_ibts = 0; n_eqcs = 0 };
+    st_ntargets = 0;
+    st_site_node = Array.make 64 0;
+    st_node_key = Array.make 256 (-1);
+    st_min = Hashtbl.create 256;
+    st_asg =
+      {
+        a_ecn_of_root = Hashtbl.create 1;
+        a_empty = [||];
+        a_rep = [||];
+        a_stats = { n_ibs = 0; n_ibts = 0; n_eqcs = 0 };
+      };
+    st_trail = [];
+    st_open = 0;
   }
 
-(* An independent copy: [merge] mutates a copy so the caller can keep
-   the pre-merge state in a rollback journal for free. *)
-let copy_state s =
-  {
-    st_env = s.st_env;
-    st_defined = Hashtbl.copy s.st_defined;
-    st_taken = Hashtbl.copy s.st_taken;
-    st_classes =
-      List.map
-        (fun c ->
-          {
-            tc_ty = c.tc_ty;
-            tc_members = c.tc_members;
-            tc_slots = c.tc_slots;
-            tc_icall_rets = c.tc_icall_rets;
-            tc_itail_fns = c.tc_itail_fns;
-            tc_node = c.tc_node;
-            tc_ret_node = c.tc_ret_node;
-            tc_inflow_fns = c.tc_inflow_fns;
-            tc_has_ret_slot = c.tc_has_ret_slot;
-          })
-        s.st_classes;
-    st_tail_succ = Hashtbl.copy s.st_tail_succ;
-    st_call_rets = Hashtbl.copy s.st_call_rets;
-    st_rs = Hashtbl.copy s.st_rs;
-    st_fn_inflow = Hashtbl.copy s.st_fn_inflow;
-    st_return_slots = Hashtbl.copy s.st_return_slots;
-    st_plt_slots = Hashtbl.copy s.st_plt_slots;
-    st_longjmp_slots = s.st_longjmp_slots;
-    st_setjmps = s.st_setjmps;
-    st_nsites = s.st_nsites;
-    st_uf = UFD.copy s.st_uf;
-    st_addr_node = Hashtbl.copy s.st_addr_node;
-    st_targets = s.st_targets;
-    st_site_node = Hashtbl.copy s.st_site_node;
-    (* replaced wholesale by [merge]'s phase 5 and never mutated in
-       place, so the copy can share them *)
-    st_installed_tary = s.st_installed_tary;
-    st_installed_bary = s.st_installed_bary;
-    st_stats = s.st_stats;
-  }
+(* ---- the trail ---- *)
 
-let state_stats s = s.st_stats
+let checkpoint s =
+  s.st_open <- s.st_open + 1;
+  { cp_trail = s.st_trail; cp_uf = UFD.mark s.st_uf }
+
+let rollback s cp =
+  let rec undo = function
+    | l when l == cp.cp_trail -> ()
+    | [] -> invalid_arg "Cfggen.rollback: checkpoint is not open"
+    | u :: rest ->
+      u ();
+      undo rest
+  in
+  undo s.st_trail;
+  s.st_trail <- cp.cp_trail;
+  s.st_open <- s.st_open - 1;
+  UFD.undo s.st_uf cp.cp_uf
+
+let commit s cp =
+  UFD.release s.st_uf cp.cp_uf;
+  s.st_open <- s.st_open - 1;
+  (* the outermost commit: nothing can be undone any more *)
+  if s.st_open = 0 then s.st_trail <- []
+
+let log s undo = s.st_trail <- undo :: s.st_trail
+
+let tbl_set s tbl k v =
+  (match Hashtbl.find_opt tbl k with
+  | Some old -> log s (fun () -> Hashtbl.replace tbl k old)
+  | None -> log s (fun () -> Hashtbl.remove tbl k));
+  Hashtbl.replace tbl k v
+
+let tbl_remove s tbl k =
+  match Hashtbl.find_opt tbl k with
+  | Some old ->
+    log s (fun () -> Hashtbl.replace tbl k old);
+    Hashtbl.remove tbl k
+  | None -> ()
+
+(* [a] with [a.(i) <- v], reallocated at twice the size if [i] is past
+   its end *)
+let grow_set a i v =
+  let a =
+    if i < Array.length a then a
+    else begin
+      let a' = Array.make (max (2 * Array.length a) (i + 1)) (-1) in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+  in
+  a.(i) <- v;
+  a
+
+let new_node s key =
+  let n = UFD.add s.st_uf in
+  s.st_node_key <- grow_set s.st_node_key n key;
+  n
+
+(* ---- reading the installed assignment (never writes the state, so a
+   forensic namer running on another domain cannot corrupt it) ---- *)
+
+let rec bsearch a x lo hi =
+  if lo >= hi then None
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = x then Some mid
+    else if a.(mid) < x then bsearch a x (mid + 1) hi
+    else bsearch a x lo mid
+
+let ecn_in s asg = function
+  | Donor_tary a ->
+    Hashtbl.find asg.a_ecn_of_root
+      (UFD.root s.st_uf (Hashtbl.find s.st_addr_node a))
+  | Donor_bary slot -> (
+    match
+      Hashtbl.find_opt asg.a_ecn_of_root
+        (UFD.root s.st_uf s.st_site_node.(slot))
+    with
+    | Some e -> e
+    | None -> (
+      match bsearch asg.a_empty slot 0 (Array.length asg.a_empty) with
+      | Some i -> asg.a_stats.n_eqcs + i
+      | None -> invalid_arg "Cfggen: slot has no ECN"))
+
+let state_stats s = s.st_asg.a_stats
 let state_sites s = s.st_nsites
 
 (* Current ECN maps, in [generate]'s output order. *)
 let state_tables s =
+  let ecn = ecn_in s s.st_asg in
   let tary =
-    IS.fold
-      (fun addr acc -> (addr, Hashtbl.find s.st_installed_tary addr) :: acc)
-      s.st_targets []
+    IS.fold (fun addr acc -> (addr, ecn (Donor_tary addr)) :: acc) s.st_targets []
     |> List.rev
   in
-  let bary =
-    List.init s.st_nsites (fun slot ->
-        (slot, Hashtbl.find s.st_installed_bary slot))
-  in
+  let bary = List.init s.st_nsites (fun slot -> (slot, ecn (Donor_bary slot))) in
   (tary, bary)
 
-(* Canonical ECN assignment over the current partition — the same rule
-   [generate] applies, so the result is bit-identical to a from-scratch
-   run over the union of all merged modules. *)
-let assign s =
-  let ecn_of_root = Hashtbl.create 256 in
-  let next_ecn = ref 0 in
-  let fresh_ecn () =
-    let e = !next_ecn in
-    incr next_ecn;
-    if e >= Idtables.Id.max_ecn then raise (Too_many_classes e);
-    e
-  in
-  let new_tary = Hashtbl.create (Hashtbl.length s.st_addr_node) in
-  IS.iter
-    (fun addr ->
-      let root = UFD.find s.st_uf (Hashtbl.find s.st_addr_node addr) in
-      let e =
-        match Hashtbl.find_opt ecn_of_root root with
-        | Some e -> e
-        | None ->
-          let e = fresh_ecn () in
-          Hashtbl.add ecn_of_root root e;
-          e
-      in
-      Hashtbl.add new_tary addr e)
-    s.st_targets;
-  let n_eqcs = Hashtbl.length ecn_of_root in
-  let new_bary = Hashtbl.create (s.st_nsites * 2) in
-  for slot = 0 to s.st_nsites - 1 do
-    let root = UFD.find s.st_uf (Hashtbl.find s.st_site_node slot) in
-    let e =
-      match Hashtbl.find_opt ecn_of_root root with
-      | Some e -> e
-      | None -> fresh_ecn () (* empty class, as in [generate]'s bary scan *)
-    in
-    Hashtbl.add new_bary slot e
-  done;
-  (new_tary, new_bary, { n_ibs = s.st_nsites; n_ibts = IS.cardinal s.st_targets; n_eqcs })
-
-(* Human names for the current ECN assignment: a class with live members
-   names its ECN after its lexicographically smallest member (with a +N
-   cardinality suffix), so a forensic bundle can say which
+(* Human name for an ECN of the installed assignment: a class with live
+   members names its ECN after its lexicographically smallest member
+   (with a +N cardinality suffix), so a forensic bundle can say which
    type-equivalence class a violating transfer crossed rather than just
    its number.  Memberless classes (empty sites, anonymous return
    components) stay unnamed — consumers fall back to "ecn-<n>". *)
-let state_class_names s =
-  let new_tary, _, _ = assign s in
-  let names = Hashtbl.create 16 in
-  List.iter
+let class_name s e =
+  List.find_map
     (fun c ->
       match c.tc_members with
-      | [] -> ()
-      | (n0, a0) :: rest ->
+      | (n0, a0) :: rest when ecn_in s s.st_asg (Donor_tary a0) = e ->
         let rep =
           List.fold_left (fun acc (n, _) -> if n < acc then n else acc) n0 rest
         in
-        (match Hashtbl.find_opt new_tary a0 with
-        | Some e when not (Hashtbl.mem names e) ->
-          let k = List.length rest in
-          Hashtbl.replace names e
-            (if k = 0 then rep else Printf.sprintf "%s+%d" rep k)
-        | _ -> ()))
-    s.st_classes;
-  Hashtbl.fold (fun e n acc -> (e, n) :: acc) names []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+        let k = List.length rest in
+        Some (if k = 0 then rep else Printf.sprintf "%s+%d" rep k)
+      | _ -> None)
+    s.st_classes
 
-(* Diff the fresh assignment against the installed one and close the
-   result over equivalence classes.
+(* The canonical assignment of the current partition, and the delta
+   against the installed one, closed over equivalence classes.
 
-   A class is *clean-grown* when every slot it had before still maps to
-   the same ECN and no slot left it: then only its new slots need
+   A class is *clean-grown* when every key it had before still maps to
+   the same ECN and no key left it: then only its new keys need
    writing, and they can carry the class's current version (read off a
-   donor slot) — concurrent checks on that class never see version
-   skew, so nothing else must be rewritten.  Any other change (a slot
-   changing class, classes merging, renumbering) dirties the ECNs
-   involved, and every slot of a dirty class is rewritten at the new
-   version so the class stays version-uniform.  The leaving side is
-   dirtied too: without it an ECN abandoned by one class and re-assigned
-   to another could carry a stale version and let an old Bary id pair
-   with a new Tary id. *)
-let compute_delta s new_tary new_bary stats =
-  let dirty = Hashtbl.create 64 in
-  let mark e = Hashtbl.replace dirty e () in
-  Hashtbl.iter
-    (fun addr e ->
-      match Hashtbl.find_opt s.st_installed_tary addr with
-      | Some e0 when e0 = e -> ()
-      | Some e0 ->
-        mark e;
-        mark e0
-      | None -> ())
-    new_tary;
-  Hashtbl.iter
-    (fun slot e ->
-      match Hashtbl.find_opt s.st_installed_bary slot with
-      | Some e0 when e0 = e -> ()
-      | Some e0 ->
-        mark e;
-        mark e0
-      | None -> ())
-    new_bary;
-  let donor = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun addr e ->
-      if not (Hashtbl.mem donor e) then Hashtbl.add donor e (Donor_tary addr))
-    s.st_installed_tary;
-  Hashtbl.iter
-    (fun slot e ->
-      if not (Hashtbl.mem donor e) then Hashtbl.add donor e (Donor_bary slot))
-    s.st_installed_bary;
+   donor) — concurrent checks on that class never see version skew, so
+   nothing else must be rewritten.  Any other change (a key changing
+   class, classes merging, renumbering) dirties the ECNs involved, and
+   every key of a dirty class is rewritten at the new version so the
+   class stays version-uniform.  The leaving side is dirtied too:
+   without it an ECN abandoned by one class and re-assigned to another
+   could carry a stale version and let an old Bary id pair with a new
+   Tary id.
+
+   Old classes only grow, so all installed keys of old ECN [e] share
+   one new ECN, read off [e]'s representative: the dirty set costs one
+   lookup per old ECN.  Rewrites list the members of dirty classes
+   (walked through the union-find's set cycles); everything else is a
+   new key of this merge. *)
+let reassign s ~new_targets ~first_slot =
+  let old = s.st_asg in
+  let classes =
+    Hashtbl.fold (fun r m acc -> (m, r) :: acc) s.st_min []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> Array.of_list
+  in
+  let n_eqcs = Array.length classes in
+  let ecn_of_root = Hashtbl.create (2 * n_eqcs) in
+  Array.iteri (fun e (_, r) -> Hashtbl.add ecn_of_root r e) classes;
+  let site_root slot = UFD.find s.st_uf s.st_site_node.(slot) in
+  let empty =
+    let fresh = List.init (s.st_nsites - first_slot) (fun i -> first_slot + i) in
+    Array.of_list
+      (List.filter
+         (fun slot -> not (Hashtbl.mem s.st_min (site_root slot)))
+         (Array.to_list old.a_empty @ fresh))
+  in
+  let total = n_eqcs + Array.length empty in
+  if total > Idtables.Id.max_ecn then raise (Too_many_classes Idtables.Id.max_ecn);
+  let asg =
+    {
+      a_ecn_of_root = ecn_of_root;
+      a_empty = empty;
+      a_rep =
+        Array.init total (fun e ->
+            if e < n_eqcs then Donor_tary (fst classes.(e))
+            else Donor_bary empty.(e - n_eqcs));
+      a_stats = { n_ibs = s.st_nsites; n_ibts = s.st_ntargets; n_eqcs };
+    }
+  in
+  let ecn = ecn_in s asg in
+  let old_total = Array.length old.a_rep in
+  let dirty = Array.make (max total old_total) false in
+  Array.iteri
+    (fun e rep ->
+      let e' = ecn rep in
+      if e' <> e then begin
+        dirty.(e) <- true;
+        dirty.(e') <- true
+      end)
+    old.a_rep;
   let tary_rw = ref [] and bary_rw = ref [] in
   let tary_gr = ref [] and bary_gr = ref [] in
-  let classify installed rw gr key e =
-    let changed =
-      match Hashtbl.find_opt installed key with
-      | Some e0 -> e0 <> e
-      | None -> true
-    in
-    if Hashtbl.mem dirty e then rw := (key, e) :: !rw
-    else if changed then begin
-      match Hashtbl.find_opt donor e with
-      | Some d -> gr := (key, e, d) :: !gr
-      | None -> rw := (key, e) :: !rw (* brand-new class *)
-    end
+  for e = 0 to total - 1 do
+    if dirty.(e) then
+      if e < n_eqcs then
+        UFD.iter_set s.st_uf (snd classes.(e)) (fun n ->
+            let key = s.st_node_key.(n) in
+            if key >= 0 then
+              if key land 1 = 0 then tary_rw := (key lsr 1, e) :: !tary_rw
+              else bary_rw := (key lsr 1, e) :: !bary_rw)
+      else bary_rw := (empty.(e - n_eqcs), e) :: !bary_rw
+  done;
+  let fresh rw gr key e =
+    if not dirty.(e) then
+      if e < old_total then gr := (key, e, old.a_rep.(e)) :: !gr
+      else rw := (key, e) :: !rw (* brand-new class *)
   in
-  Hashtbl.iter (classify s.st_installed_tary tary_rw tary_gr) new_tary;
-  Hashtbl.iter (classify s.st_installed_bary bary_rw bary_gr) new_bary;
+  List.iter (fun a -> fresh tary_rw tary_gr a (ecn (Donor_tary a))) new_targets;
+  for slot = first_slot to s.st_nsites - 1 do
+    fresh bary_rw bary_gr slot (ecn (Donor_bary slot))
+  done;
   let by_key (a, _) (b, _) = compare a b in
   let by_key3 (a, _, _) (b, _, _) = compare a b in
-  {
-    d_tary = List.sort by_key !tary_rw;
-    d_bary = List.sort by_key !bary_rw;
-    d_tary_grow = List.sort by_key3 !tary_gr;
-    d_bary_grow = List.sort by_key3 !bary_gr;
-    d_stats = stats;
-  }
+  ( asg,
+    {
+      d_tary = List.sort by_key !tary_rw;
+      d_bary = List.sort by_key !bary_rw;
+      d_tary_grow = List.sort by_key3 !tary_gr;
+      d_bary_grow = List.sort by_key3 !bary_gr;
+      d_stats = asg.a_stats;
+    } )
 
 (* Split a delta into per-shard slices for sharded tables.  The routing
    unit is the equivalence class: every entry of a class — rewrites and
@@ -496,27 +551,63 @@ let shard_delta ~shards ~route d =
 let fun_ty_equal env a b =
   Minic.Types.equal env (Minic.Ast.Tfun a) (Minic.Ast.Tfun b)
 
-let merge s0 m =
-  let s = copy_state s0 in
+(* Log a class's mutable fields before writing any of them. *)
+let save_class s c =
+  let members = c.tc_members and slots = c.tc_slots in
+  let rets = c.tc_icall_rets and itail = c.tc_itail_fns in
+  let inflow = c.tc_inflow_fns and has_ret_slot = c.tc_has_ret_slot in
+  log s (fun () ->
+      c.tc_members <- members;
+      c.tc_slots <- slots;
+      c.tc_icall_rets <- rets;
+      c.tc_itail_fns <- itail;
+      c.tc_inflow_fns <- inflow;
+      c.tc_has_ret_slot <- has_ret_slot)
+
+let merge_into s m =
   let class_by_ret_node = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.add class_by_ret_node c.tc_ret_node c) s.st_classes;
   if m.m_slot_base <> s.st_nsites then
     invalid_arg
       (Printf.sprintf "Cfggen.merge: slot base %d, expected %d" m.m_slot_base
          s.st_nsites);
-  s.st_env <- Minic.Types.merge [ s.st_env; m.m_env ];
+  let env = s.st_env in
+  s.st_env <- Minic.Types.merge [ env; m.m_env ];
+  log s (fun () -> s.st_env <- env);
+  let new_targets = ref [] in
   let node_of_addr a =
     match Hashtbl.find_opt s.st_addr_node a with
     | Some n -> n
     | None ->
-      let n = UFD.add s.st_uf in
-      Hashtbl.add s.st_addr_node a n;
-      s.st_targets <- IS.add a s.st_targets;
+      let n = new_node s (2 * a) in
+      tbl_set s s.st_addr_node a n;
+      tbl_set s s.st_min n a;
+      let targets = s.st_targets and ntargets = s.st_ntargets in
+      log s (fun () ->
+          s.st_targets <- targets;
+          s.st_ntargets <- ntargets);
+      s.st_targets <- IS.add a targets;
+      s.st_ntargets <- ntargets + 1;
+      new_targets := a :: !new_targets;
       n
   in
-  let union_site_target slot addr =
-    ignore (UFD.union s.st_uf (Hashtbl.find s.st_site_node slot) (node_of_addr addr))
+  (* every union goes through here, to keep each root's least target *)
+  let union a b =
+    let ra = UFD.find s.st_uf a and rb = UFD.find s.st_uf b in
+    if ra <> rb then begin
+      let r = UFD.union s.st_uf ra rb in
+      let gone = if r = ra then rb else ra in
+      match Hashtbl.find_opt s.st_min gone with
+      | None -> ()
+      | Some least -> (
+        tbl_remove s s.st_min gone;
+        match Hashtbl.find_opt s.st_min r with
+        | Some least' when least' <= least -> ()
+        | _ -> tbl_set s s.st_min r least)
+    end
   in
+  let site_node slot = s.st_site_node.(slot) in
+  let union_site_target slot addr = union (site_node slot) (node_of_addr addr) in
   let tc_forward g =
     (* forward tail closure of g in the current edge set, incl. g *)
     let rec go visited frontier =
@@ -547,25 +638,20 @@ let merge s0 m =
      condition is implied *)
   let ret_active c = c.tc_has_ret_slot && not (IS.is_empty c.tc_icall_rets) in
   let union_ret_slots_with c n =
-    List.iter
-      (fun slot ->
-        ignore
-          (UFD.union s.st_uf (Hashtbl.find s.st_site_node slot) c.tc_ret_node))
-      (return_slots n)
+    List.iter (fun slot -> union (site_node slot) c.tc_ret_node) (return_slots n)
   in
   (* first time the class has a member, a ret and an inflow return
      slot: connect the facts accumulated while the component didn't
      exist yet *)
   let activate_ret c =
-    IS.iter
-      (fun r -> ignore (UFD.union s.st_uf (node_of_addr r) c.tc_ret_node))
-      c.tc_icall_rets;
+    IS.iter (fun r -> union (node_of_addr r) c.tc_ret_node) c.tc_icall_rets;
     SS.iter (fun n -> union_ret_slots_with c n) c.tc_inflow_fns
   in
   let add_inflow c n =
     if not (SS.mem n c.tc_inflow_fns) then begin
+      save_class s c;
       c.tc_inflow_fns <- SS.add n c.tc_inflow_fns;
-      Hashtbl.replace s.st_fn_inflow n (IS.add c.tc_ret_node (fn_inflow n));
+      tbl_set s s.st_fn_inflow n (IS.add c.tc_ret_node (fn_inflow n));
       if c.tc_has_ret_slot then begin
         if ret_active c then union_ret_slots_with c n
       end
@@ -585,7 +671,7 @@ let merge s0 m =
     let old = rs n in
     let fresh = IS.diff addrs old in
     if not (IS.is_empty fresh) then begin
-      Hashtbl.replace s.st_rs n (IS.union old fresh);
+      tbl_set s s.st_rs n (IS.union old fresh);
       List.iter
         (fun slot -> IS.iter (fun a -> union_site_target slot a) fresh)
         (return_slots n)
@@ -596,14 +682,14 @@ let merge s0 m =
   let add_rs1 h addr =
     let old = rs h in
     if not (IS.mem addr old) then begin
-      Hashtbl.replace s.st_rs h (IS.add addr old);
+      tbl_set s s.st_rs h (IS.add addr old);
       List.iter (fun slot -> union_site_target slot addr) (return_slots h)
     end
   in
   let add_call_rets1 g addr =
     let old = call_rets g in
     if not (IS.mem addr old) then begin
-      Hashtbl.replace s.st_call_rets g (IS.add addr old);
+      tbl_set s s.st_call_rets g (IS.add addr old);
       if Hashtbl.mem s.st_tail_succ g then
         SS.iter (fun h -> add_rs1 h addr) (tc_forward g)
       else add_rs1 g addr
@@ -614,7 +700,7 @@ let merge s0 m =
       Option.value ~default:SS.empty (Hashtbl.find_opt s.st_tail_succ a)
     in
     if not (SS.mem b succ) then begin
-      Hashtbl.replace s.st_tail_succ a (SS.add b succ);
+      tbl_set s s.st_tail_succ a (SS.add b succ);
       (* everything now reachable from b inherits the return addrs that
          could land in a (rs a already folds in a's reverse closure) *)
       let contrib = IS.union (rs a) (call_rets a) in
@@ -638,16 +724,13 @@ let merge s0 m =
       (fun c ->
         if Minic.Types.callable s.st_env ~site:c.tc_ty ~fn:f.fty then begin
           let first_member = c.tc_members = [] in
+          save_class s c;
           c.tc_members <- (f.fname, f.faddr) :: c.tc_members;
           (* the first member connects the slots accumulated while the
              class was empty; later slots/members anchor in O(1) *)
           if first_member then
-            List.iter
-              (fun slot ->
-                ignore
-                  (UFD.union s.st_uf (Hashtbl.find s.st_site_node slot) c.tc_node))
-              c.tc_slots;
-          ignore (UFD.union s.st_uf (node_of_addr f.faddr) c.tc_node);
+            List.iter (fun slot -> union (site_node slot) c.tc_node) c.tc_slots;
+          union (node_of_addr f.faddr) c.tc_node;
           add_inflow_closure c f.fname;
           SS.iter (fun sfn -> add_tail_edge sfn f.fname) c.tc_itail_fns
         end)
@@ -655,7 +738,7 @@ let merge s0 m =
   in
   let on_taken n =
     if not (Hashtbl.mem s.st_taken n) then begin
-      Hashtbl.add s.st_taken n ();
+      tbl_set s s.st_taken n ();
       match Hashtbl.find_opt s.st_defined n with
       | Some f -> on_newly_at f
       | None -> ()
@@ -664,7 +747,7 @@ let merge s0 m =
   let on_defined (f : fn) =
     if Hashtbl.mem s.st_defined f.fname then
       invalid_arg ("Cfggen.merge: duplicate definition of " ^ f.fname);
-    Hashtbl.add s.st_defined f.fname f;
+    tbl_set s s.st_defined f.fname f;
     (match Hashtbl.find_opt s.st_plt_slots f.fname with
     | Some slots -> List.iter (fun slot -> union_site_target slot f.faddr) slots
     | None -> ());
@@ -696,19 +779,19 @@ let merge s0 m =
           tc_slots = [];
           tc_icall_rets = IS.empty;
           tc_itail_fns = SS.empty;
-          tc_node = UFD.add s.st_uf;
-          tc_ret_node = UFD.add s.st_uf;
+          tc_node = new_node s (-1);
+          tc_ret_node = new_node s (-1);
           tc_inflow_fns = SS.empty;
           tc_has_ret_slot = false;
         }
       in
       Hashtbl.add class_by_ret_node c.tc_ret_node c;
-      List.iter
-        (fun (_, addr) -> ignore (UFD.union s.st_uf (node_of_addr addr) c.tc_node))
-        members;
+      List.iter (fun (_, addr) -> union (node_of_addr addr) c.tc_node) members;
       (* no rets yet, so this only records where they will flow *)
       List.iter (fun (g, _) -> add_inflow_closure c g) members;
-      s.st_classes <- c :: s.st_classes;
+      let classes = s.st_classes in
+      log s (fun () -> s.st_classes <- classes);
+      s.st_classes <- c :: classes;
       c
   in
   (* 1. functions (definitions, then address-taken transitions) *)
@@ -722,7 +805,9 @@ let merge s0 m =
   List.iter
     (fun a ->
       if not (IS.mem a s.st_setjmps) then begin
-        s.st_setjmps <- IS.add a s.st_setjmps;
+        let setjmps = s.st_setjmps in
+        log s (fun () -> s.st_setjmps <- setjmps);
+        s.st_setjmps <- IS.add a setjmps;
         ignore (node_of_addr a);
         List.iter (fun slot -> union_site_target slot a) s.st_longjmp_slots
       end)
@@ -731,20 +816,21 @@ let merge s0 m =
   Array.iteri
     (fun i site ->
       let slot = m.m_slot_base + i in
-      let n = UFD.add s.st_uf in
-      Hashtbl.add s.st_site_node slot n;
+      let n = new_node s ((2 * slot) + 1) in
+      s.st_site_node <- grow_set s.st_site_node slot n;
       match site with
       | Sreturn { fn } ->
-        Hashtbl.replace s.st_return_slots fn (slot :: return_slots fn);
+        tbl_set s s.st_return_slots fn (slot :: return_slots fn);
         IS.iter (fun a -> union_site_target slot a) (rs fn);
         IS.iter
           (fun anchor ->
             let c = Hashtbl.find class_by_ret_node anchor in
             if c.tc_has_ret_slot then begin
-              if ret_active c then ignore (UFD.union s.st_uf n c.tc_ret_node)
+              if ret_active c then union n c.tc_ret_node
             end
             else begin
               (* first return slot on this class's inflow *)
+              save_class s c;
               c.tc_has_ret_slot <- true;
               if ret_active c then activate_ret c
             end)
@@ -752,34 +838,39 @@ let merge s0 m =
       | Sicall { ty; ret_addr; _ } ->
         ignore (node_of_addr ret_addr);
         let c = find_or_create_class ty in
+        save_class s c;
         c.tc_slots <- slot :: c.tc_slots;
-        if c.tc_members <> [] then ignore (UFD.union s.st_uf n c.tc_node);
+        if c.tc_members <> [] then union n c.tc_node;
         let was_active = ret_active c in
         c.tc_icall_rets <- IS.add ret_addr c.tc_icall_rets;
         if ret_active c then
-          if was_active then
-            ignore (UFD.union s.st_uf (node_of_addr ret_addr) c.tc_ret_node)
+          if was_active then union (node_of_addr ret_addr) c.tc_ret_node
           else activate_ret c
       | Sitail { fn; ty } ->
         let c = find_or_create_class ty in
+        save_class s c;
         c.tc_slots <- slot :: c.tc_slots;
         c.tc_itail_fns <- SS.add fn c.tc_itail_fns;
-        if c.tc_members <> [] then ignore (UFD.union s.st_uf n c.tc_node);
+        if c.tc_members <> [] then union n c.tc_node;
         List.iter (fun (g, _) -> add_tail_edge fn g) c.tc_members
       | Sjumptable { target_addrs; _ } ->
         List.iter (fun a -> union_site_target slot a) target_addrs
       | Slongjmp _ ->
-        s.st_longjmp_slots <- slot :: s.st_longjmp_slots;
+        let slots = s.st_longjmp_slots in
+        log s (fun () -> s.st_longjmp_slots <- slots);
+        s.st_longjmp_slots <- slot :: slots;
         IS.iter (fun a -> union_site_target slot a) s.st_setjmps
       | Splt { symbol } ->
-        Hashtbl.replace s.st_plt_slots symbol
+        tbl_set s s.st_plt_slots symbol
           (slot
           :: Option.value ~default:[] (Hashtbl.find_opt s.st_plt_slots symbol));
         (match Hashtbl.find_opt s.st_defined symbol with
         | Some f -> union_site_target slot f.faddr
         | None -> ()))
     m.m_sites;
-  s.st_nsites <- s.st_nsites + Array.length m.m_sites;
+  let nsites = s.st_nsites in
+  log s (fun () -> s.st_nsites <- nsites);
+  s.st_nsites <- nsites + Array.length m.m_sites;
   (* 4. direct call and tail-call edges *)
   List.iter
     (fun (_caller, callee, ret) ->
@@ -787,13 +878,25 @@ let merge s0 m =
       add_call_rets1 callee ret)
     m.m_direct_calls;
   List.iter (fun (a, b) -> add_tail_edge a b) m.m_tail_calls;
-  (* 5. fresh canonical assignment, delta vs installed, commit *)
-  let new_tary, new_bary, stats = assign s in
-  let delta = compute_delta s new_tary new_bary stats in
-  s.st_installed_tary <- new_tary;
-  s.st_installed_bary <- new_bary;
-  s.st_stats <- stats;
-  (s, delta)
+  (* 5. canonical assignment, delta vs installed, commit *)
+  let asg, delta =
+    reassign s ~new_targets:!new_targets ~first_slot:m.m_slot_base
+  in
+  let installed = s.st_asg in
+  log s (fun () -> s.st_asg <- installed);
+  s.st_asg <- asg;
+  delta
+
+let merge s m =
+  let cp = checkpoint s in
+  match merge_into s m with
+  | delta ->
+    commit s cp;
+    delta
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    rollback s cp;
+    Printexc.raise_with_backtrace e bt
 
 let generate input =
   let rs = return_sites input in

@@ -73,15 +73,20 @@ val targets_of_site : input -> site -> int list
 
 (** {1 Incremental generation}
 
-    [merge] folds one module at a time into a persistent merge state and
-    returns the {e delta} against the previously returned assignment:
-    only the table slots whose IDs must change.  The resulting ECN maps
-    are bit-identical to running {!generate} over the union of every
-    merged module — [merge] maintains the equivalence-class partition
+    [merge] folds one module at a time into a merge state and returns
+    the {e delta} against the previously returned assignment: only the
+    table slots whose IDs must change.  The resulting ECN maps are
+    bit-identical to running {!generate} over the union of every merged
+    module — [merge] maintains the equivalence-class partition
     incrementally (memoized type classes, grow-only tail-closure /
-    return-site propagation, a growable union-find) and then reapplies
-    {!generate}'s canonical numbering rule, so a from-scratch run is a
-    differential oracle for the incremental path. *)
+    return-site propagation, a growable union-find) and applies
+    {!generate}'s canonical numbering rule to the classes, so a
+    from-scratch run is a differential oracle for the incremental path.
+
+    The state is mutated in place.  A {!checkpoint} opens an undo trail
+    over every write; {!rollback} restores the state to the checkpoint,
+    {!commit} keeps the writes.  The cost of either is proportional to
+    what was written since the checkpoint, not to the state. *)
 
 (** One module's contribution, in the shape [Process] extracts once per
     load (fields mirror {!input}, restricted to the module). *)
@@ -122,11 +127,27 @@ type state
 (** State with no modules merged; tables empty. *)
 val empty_state : unit -> state
 
-(** [merge state m] is [(state', delta)].  [state] itself is not
-    mutated — the caller can keep it for rollback.  Raises
-    {!Too_many_classes} on ECN exhaustion and [Invalid_argument] on a
-    slot-base mismatch or duplicate definition. *)
-val merge : state -> module_input -> state * delta
+(** [merge state m] folds [m] into [state] and returns the delta.
+    Raises {!Too_many_classes} on ECN exhaustion and [Invalid_argument]
+    on a slot-base mismatch or duplicate definition; a merge that raises
+    has undone every write it made, so [state] is as it was before the
+    call. *)
+val merge : state -> module_input -> delta
+
+type checkpoint
+
+(** Open a checkpoint: every later write to the state is trailed until
+    the checkpoint is closed by exactly one {!commit} or {!rollback}.
+    Checkpoints nest and must be closed in LIFO order. *)
+val checkpoint : state -> checkpoint
+
+(** Close the checkpoint and undo every write made since it was opened:
+    tables, stats, names and the next merge's delta are as they were. *)
+val rollback : state -> checkpoint -> unit
+
+(** Close the checkpoint and keep the writes.  Committing the outermost
+    checkpoint drops the trail. *)
+val commit : state -> checkpoint -> unit
 
 (** The full ECN maps of the last assignment, in {!generate}'s output
     order — what the live tables must contain. *)
@@ -138,11 +159,12 @@ val state_stats : state -> stats
 (** Total branch sites merged so far. *)
 val state_sites : state -> int
 
-(** Human names for the current ECN assignment: [(ecn, name)] pairs,
-    ascending, where [name] is the class's lexicographically smallest
-    live member with a [+N] suffix for the other N members.  Memberless
-    classes are omitted — forensic consumers fall back to ["ecn-<n>"]. *)
-val state_class_names : state -> (int * string) list
+(** [class_name state ecn] is a human name for [ecn] in the current
+    assignment: the class's lexicographically smallest live member with
+    a [+N] suffix for the other N members.  [None] for memberless
+    classes — forensic consumers fall back to ["ecn-<n>"].  Computed on
+    demand from the state; it only reads the state. *)
+val class_name : state -> int -> string option
 
 (** {1 Delta → shard mapping}
 

@@ -114,9 +114,12 @@ val record_trigger :
     [forensics-<id>-<trigger>.json] there. *)
 
 val set_ecn_namer : (int -> string option) -> unit
-(** Install the equivalence-class namer (the runtime wires this to
-    [Cfggen.state_class_names] after each merge).  The recorder cannot
-    depend on the CFG layer itself. *)
+(** Install the equivalence-class namer.  The runtime installs
+    [Cfggen.class_name] over the live merge state of the process whose
+    incremental load last succeeded; it computes a name on demand, so it
+    always describes the installed classes (a load that rolls back
+    leaves nothing behind in it).  The recorder cannot depend on the CFG
+    layer itself. *)
 
 val ecn_name : int -> string
 (** The installed namer's answer, or the synthetic ["ecn-<n>"]. *)

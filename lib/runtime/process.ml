@@ -61,7 +61,7 @@ type t = {
   data_symbols : (string, int) Hashtbl.t;
   mutable next_slot : int;
   mutable pending_got : (string * int) list; (* symbol, got data address *)
-  mutable cfg_state : Cfg.Cfggen.state;
+  cfg_state : Cfg.Cfggen.state;
   mutable last_stats : Cfg.Cfggen.stats option;
   mutable cfg_ms : float;
   mutable n_updates : int;
@@ -125,17 +125,20 @@ let loaded_names t = List.rev_map (fun lm -> lm.lm_obj.Objfile.o_name) t.loaded
 (* ---- the load journal (failure-atomic dynamic linking) ----
 
    Everything [load] mutates, captured before the protocol touches the
-   process.  On any failure — verifier rejection, symbol clash, capacity
-   overflow, injected fault, even one that strikes between the update
-   transaction's two phases — [rollback] reinstates this record, so a
-   failed load is observationally a no-op. *)
+   process, or logged as the protocol goes (the symbols it publishes,
+   the CFG merge state's trail).  On any failure — verifier rejection,
+   symbol clash, capacity overflow, injected fault, even one that
+   strikes between the update transaction's two phases — [rollback]
+   reinstates this record, so a failed load is observationally a no-op.
+   Capturing and committing cost O(1) in the loaded program. *)
 type load_journal = {
   pj_code_end : int;
   pj_brk : int;
   pj_next_slot : int;
   pj_loaded : loaded list;
-  pj_code_symbols : (string, int) Hashtbl.t; (* full copies *)
-  pj_data_symbols : (string, int) Hashtbl.t;
+  (* symbols this load published; load never rebinds an existing one *)
+  mutable pj_code_added : string list;
+  mutable pj_data_added : string list;
   pj_pending_got : (string * int) list;
   pj_got_words : (int * int) list; (* unresolved GOT slot -> word before *)
   (* Table rollback state.  The full-regeneration path snapshots both
@@ -149,9 +152,8 @@ type load_journal = {
   pj_tables : Idtables.Tables.snapshot option;
   pj_base_slots : Idtables.Tables.slot_snapshot option;
   pj_touched : Idtables.Tables.slot_snapshot option ref;
-  (* merge state is persistent (never mutated in place), so rollback is
-     reinstating the old reference *)
-  pj_cfg_state : Cfg.Cfggen.state;
+  (* the merge state is mutated in place; rollback undoes its trail *)
+  pj_cfg : Cfg.Cfggen.checkpoint;
   pj_n_updates : int;
   pj_last_stats : Cfg.Cfggen.stats option;
   pj_cfg_ms : float;
@@ -163,8 +165,8 @@ let capture_journal t =
     pj_brk = Machine.brk t.mach;
     pj_next_slot = t.next_slot;
     pj_loaded = t.loaded;
-    pj_code_symbols = Hashtbl.copy t.code_symbols;
-    pj_data_symbols = Hashtbl.copy t.data_symbols;
+    pj_code_added = [];
+    pj_data_added = [];
     pj_pending_got = t.pending_got;
     pj_got_words =
       List.map
@@ -180,15 +182,11 @@ let capture_journal t =
            t.tables
        else None);
     pj_touched = ref None;
-    pj_cfg_state = t.cfg_state;
+    pj_cfg = Cfg.Cfggen.checkpoint t.cfg_state;
     pj_n_updates = t.n_updates;
     pj_last_stats = t.last_stats;
     pj_cfg_ms = t.cfg_ms;
   }
-
-let restore_table dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
 
 let rollback t j =
   Telemetry.emit Telemetry.Event.Update_rollback
@@ -221,10 +219,10 @@ let rollback t j =
   | _ -> ());
   t.next_slot <- j.pj_next_slot;
   t.loaded <- j.pj_loaded;
-  restore_table t.code_symbols j.pj_code_symbols;
-  restore_table t.data_symbols j.pj_data_symbols;
+  List.iter (Hashtbl.remove t.code_symbols) j.pj_code_added;
+  List.iter (Hashtbl.remove t.data_symbols) j.pj_data_added;
   t.pending_got <- j.pj_pending_got;
-  t.cfg_state <- j.pj_cfg_state;
+  Cfg.Cfggen.rollback t.cfg_state j.pj_cfg;
   t.n_updates <- j.pj_n_updates;
   t.last_stats <- j.pj_last_stats;
   t.cfg_ms <- j.pj_cfg_ms;
@@ -396,7 +394,7 @@ let oracle_check t =
 
    Full mode regenerates from scratch and rewrites both tables
    ([Tx.update]); incremental mode merges only the new module into the
-   persistent state and installs the returned delta ([Tx.update_delta]),
+   long-lived merge state and installs the returned delta ([Tx.update_delta]),
    journalling the touched slots into the load journal's partial
    snapshot from the transaction's [pre_install] hook. *)
 let update_cfg t j new_module =
@@ -418,7 +416,7 @@ let update_cfg t j new_module =
     let load = t.n_updates in
     (if t.incremental then begin
        let t0 = Unix.gettimeofday () in
-       let state, delta =
+       let delta =
          span Telemetry.Event.phase_merge m_load_merge ~load (fun () ->
              Cfg.Cfggen.merge t.cfg_state new_module)
        in
@@ -455,17 +453,7 @@ let update_cfg t j new_module =
            ignore
              (Tx.update_delta ~got_update ~pre_install tables
                 ~tary:delta.Cfg.Cfggen.d_tary ~bary:delta.Cfg.Cfggen.d_bary
-                ~tary_carry ~bary_carry));
-       t.cfg_state <- state;
-       (* Hand the flight recorder human names for the classes the
-          tables now hold, so a bundle says "ecn 7 (qsort_cmp+2)"
-          instead of just the number.  Refreshed per merge; the
-          regenerate path keeps the last namer and unknown classes fall
-          back to "ecn-<n>". *)
-       let names = Cfg.Cfggen.state_class_names state in
-       let tbl = Hashtbl.create (1 + List.length names) in
-       List.iter (fun (e, n) -> Hashtbl.replace tbl e n) names;
-       Obs.Flightrec.set_ecn_namer (fun e -> Hashtbl.find_opt tbl e)
+                ~tary_carry ~bary_carry))
      end
      else begin
        let t0 = Unix.gettimeofday () in
@@ -524,7 +512,8 @@ let load_protocol t j (obj : Objfile.t) =
   in
   List.iter
     (fun ((d : Objfile.data_def), addr) ->
-      Hashtbl.replace t.data_symbols d.d_name addr)
+      Hashtbl.replace t.data_symbols d.d_name addr;
+      j.pj_data_added <- d.d_name :: j.pj_data_added)
     new_data;
   (* 3. code layout at the next free (16-aligned) code address *)
   let base =
@@ -556,7 +545,8 @@ let load_protocol t j (obj : Objfile.t) =
     (fun label addr ->
       if Hashtbl.mem t.code_symbols label then
         fail "duplicate code symbol %s" label;
-      Hashtbl.replace t.code_symbols label addr)
+      Hashtbl.replace t.code_symbols label addr;
+      j.pj_code_added <- label :: j.pj_code_added)
     prog.Asm.labels;
   (* 6. initialize data (relocations resolve against the updated tables) *)
   List.iter
@@ -612,15 +602,26 @@ let load_protocol t j (obj : Objfile.t) =
     { lm_obj = obj; lm_prog = prog; lm_slot_base = slot_base; lm_input }
     :: t.loaded;
   (* 9. generate and install the CFG (one update transaction): merge the
-     new module into the persistent state, or regenerate from scratch *)
+     new module into the merge state, or regenerate from scratch *)
   update_cfg t j lm_input
 
 let load t obj =
   let j = capture_journal t in
-  try
+  match
     span Telemetry.Event.phase_load m_load_total ~load:t.n_updates (fun () ->
         load_protocol t j obj)
-  with e ->
+  with
+  | () ->
+    Cfg.Cfggen.commit t.cfg_state j.pj_cfg;
+    (* Hand the flight recorder human names for the classes the tables
+       now hold, so a bundle says "ecn 7 (qsort_cmp+2)" instead of just
+       the number.  The namer reads the live merge state on demand, so
+       it always describes what is installed — a later load that rolls
+       back leaves nothing behind in it.  The regenerate path keeps the
+       last namer and unknown classes fall back to "ecn-<n>". *)
+    if t.incremental && Option.is_some t.tables then
+      Obs.Flightrec.set_ecn_namer (Cfg.Cfggen.class_name t.cfg_state)
+  | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     rollback t j;
     Printexc.raise_with_backtrace e bt

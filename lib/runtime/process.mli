@@ -32,7 +32,7 @@ type t
     [verify] runs the verifier on every loaded module (default: same as
     [instrumented]).
     [incremental] (default true) links incrementally: each load merges
-    only the new module into a persistent CFG merge state
+    only the new module into a long-lived CFG merge state
     ({!Cfg.Cfggen.merge}) and installs the resulting delta with
     {!Idtables.Tx.update_delta}, so dlopen cost scales with the module,
     not the program.  [~incremental:false] keeps the historical
@@ -64,8 +64,9 @@ val create :
     instrumented/plain mismatch with the process mode.
 
     Failure-atomic: the process is journalled (code end, heap break, table
-    snapshot, symbol maps, staged GOT words, module list) before the
-    protocol starts, and {e any} exception — {!Error}, a capacity
+    snapshot, staged GOT words, module list) before the protocol starts,
+    the symbols it publishes and its CFG merge are logged as it goes
+    ({!Cfg.Cfggen.checkpoint}), and {e any} exception — {!Error}, a capacity
     [Invalid_argument], an injected {!Faults.Injected} fault, even one
     striking between the update transaction's two phases — rolls the
     process back to the journal before re-raising, so a failed load is

@@ -32,19 +32,17 @@ val count : t -> int
 val groups : t -> int list list
 
 (** Growable union-find: keys are allocated one at a time ([add]) instead
-    of up front, and the whole structure can be copied in O(n) — the shape
-    the incremental CFG generator's merge state needs (new modules bring
-    new equivalence-class keys; the loader's rollback journal keeps the
-    pre-merge copy). *)
+    of up front — the shape the incremental CFG generator's merge state
+    needs (new modules bring new equivalence-class keys).  Writes can be
+    taken back: while a {!mark} is open every parent, rank and cycle
+    write is logged, path compression included, and {!undo} replays the
+    log backwards, so a merge that must be rolled back costs what it
+    wrote rather than a copy of the structure. *)
 module Dynamic : sig
   type t
 
   (** An empty structure with no keys. *)
   val create : unit -> t
-
-  (** An independent O(n) copy: mutations of either side do not affect
-      the other. *)
-  val copy : t -> t
 
   (** Number of keys allocated so far. *)
   val size : t -> int
@@ -59,6 +57,31 @@ module Dynamic : sig
   val union : t -> int -> int -> int
   val same : t -> int -> int -> bool
 
+  (** [root t x] is [find t x] without path compression: it reads the
+      structure and never writes it. *)
+  val root : t -> int -> int
+
   (** Number of distinct sets. *)
   val count : t -> int
+
+  (** [iter_set t x f] applies [f] to every key in [x]'s set (each
+      once, starting with [x]), in time proportional to the set. *)
+  val iter_set : t -> int -> (int -> unit) -> unit
+
+  (** A checkpoint.  Marks nest and must be closed in LIFO order, each
+      by exactly one {!release} or {!undo}. *)
+  type mark
+
+  (** Open a mark: from now on writes are logged. *)
+  val mark : t -> mark
+
+  (** Close the mark, keeping every write since it.  Closing the
+      outermost mark drops the log. *)
+  val release : t -> mark -> unit
+
+  (** Close the mark and restore the structure to the state it had when
+      the mark was opened: keys added since are dropped, and [find],
+      [count] and [size] answer exactly as they did then.  Raises
+      [Invalid_argument] if no mark is open. *)
+  val undo : t -> mark -> unit
 end

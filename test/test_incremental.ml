@@ -4,13 +4,18 @@
    The cfggen half builds random synthetic module streams and checks,
    after every [Cfggen.merge], that the maintained state is bit-identical
    to a from-scratch [Cfggen.generate] over the union of the modules —
-   ECN maps and stats — and that replaying the returned delta over a
-   model table reproduces the full maps.
+   ECN maps and stats — that the returned delta is exactly the
+   whole-program diff of consecutive assignments, and that replaying it
+   over a model table reproduces the full maps.  Merges undone through
+   the trail (cleanly, or by raising part-way) must leave a state
+   indistinguishable from a twin that never saw them.
 
    The process half compiles real MiniC modules, loads them through
    [Process.load] with the incremental path on, and compares the live
    tables against full regeneration after every dlopen, including a
-   mid-chain load that fails and must roll back. *)
+   mid-chain load that fails and must roll back; it also gates the
+   per-load allocation of a long chain, which must not grow with the
+   loaded program. *)
 
 open Cfg.Cfggen
 module Ast = Minic.Ast
@@ -161,6 +166,47 @@ let apply_delta (mt, mb) delta =
       Hashtbl.replace mb s e)
     delta.d_bary_grow
 
+(* The delta's specification: the whole-program diff of two consecutive
+   full assignments, closed over classes.  Keys whose ECN changed dirty
+   the old and the new ECN; every key of a dirty ECN is rewritten; a new
+   key of a clean ECN that was installed before grows (carries a donor's
+   version), one of a brand-new ECN is rewritten.  Returns the rewrite
+   lists and the grow lists without donors, all sorted by key. *)
+let expected_delta (pt, pb) (nt, nb) =
+  let dirty = Hashtbl.create 16 and installed = Hashtbl.create 64 in
+  let scan prev next =
+    let prev_tbl = Hashtbl.of_seq (List.to_seq prev) in
+    List.iter (fun (_, e) -> Hashtbl.replace installed e ()) prev;
+    List.iter
+      (fun (k, e) ->
+        match Hashtbl.find_opt prev_tbl k with
+        | Some e0 when e0 <> e ->
+          Hashtbl.replace dirty e ();
+          Hashtbl.replace dirty e0 ()
+        | _ -> ())
+      next;
+    prev_tbl
+  in
+  let pt_tbl = scan pt nt and pb_tbl = scan pb nb in
+  let split prev_tbl next =
+    List.fold_right
+      (fun (k, e) (rw, gr) ->
+        if Hashtbl.mem dirty e then ((k, e) :: rw, gr)
+        else if Hashtbl.mem prev_tbl k then (rw, gr)
+        else if Hashtbl.mem installed e then (rw, (k, e) :: gr)
+        else ((k, e) :: rw, gr))
+      next ([], [])
+  in
+  (split pt_tbl nt, split pb_tbl nb)
+
+let check_delta what prev (next : output) delta =
+  let (trw, tgr), (brw, bgr) = expected_delta prev (next.tary, next.bary) in
+  let drop = List.map (fun (k, e, _) -> (k, e)) in
+  Alcotest.check pairs (what ^ ": tary rewrites") trw delta.d_tary;
+  Alcotest.check pairs (what ^ ": bary rewrites") brw delta.d_bary;
+  Alcotest.check pairs (what ^ ": tary grows") tgr (drop delta.d_tary_grow);
+  Alcotest.check pairs (what ^ ": bary grows") bgr (drop delta.d_bary_grow)
+
 let sorted_of_tbl tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -171,13 +217,18 @@ let run_chain seed nmodules =
     List.init nmodules (fun k -> gen_module rng ~nmodules k)
   in
   let mt = Hashtbl.create 64 and mb = Hashtbl.create 64 in
+  let state = empty_state () in
   let _final =
     List.fold_left
-      (fun (state, loaded) m ->
+      (fun (prev, loaded) m ->
         let m = { m with m_slot_base = state_sites state } in
-        let state, delta = merge state m in
+        let delta = merge state m in
         let loaded = loaded @ [ m ] in
         let reference = generate (combined_input loaded) in
+        check_delta
+          (Printf.sprintf "seed %d: delta of module %d" seed
+             (List.length loaded))
+          prev reference delta;
         let inc_tary, inc_bary = state_tables state in
         Alcotest.check pairs
           (Printf.sprintf "seed %d: tary after module %d" seed
@@ -200,8 +251,8 @@ let run_chain seed nmodules =
           (sorted_of_tbl mt);
         Alcotest.check pairs "delta replay reproduces bary" reference.bary
           (sorted_of_tbl mb);
-        (state, loaded))
-      (empty_state (), [])
+        ((reference.tary, reference.bary), loaded))
+      (([], []), [])
       modules
   in
   ()
@@ -225,7 +276,8 @@ let test_merge_misuse () =
       m_setjmp_addrs = [];
     }
   in
-  let s, _ = merge (empty_state ()) m in
+  let s = empty_state () in
+  ignore (merge s m);
   Alcotest.check_raises "slot base mismatch"
     (Invalid_argument "Cfggen.merge: slot base 0, expected 1") (fun () ->
       ignore (merge s m));
@@ -233,28 +285,83 @@ let test_merge_misuse () =
     (Invalid_argument "Cfggen.merge: duplicate definition of f") (fun () ->
       ignore (merge s { m with m_slot_base = 1 }))
 
-(* A state copy must be independent: merging into the new state must not
-   disturb the snapshot kept for rollback. *)
-let test_merge_preserves_input_state () =
-  let rng = Random.State.make [| 7 |] in
-  let m0 = gen_module rng ~nmodules:2 0 in
-  let m1 =
-    let m = gen_module rng ~nmodules:2 1 in
-    { m with m_slot_base = Array.length m0.m_sites }
+(* Rollback restores the pre-merge state.  Over seeded module streams,
+   [state] and a twin merge the same modules; before some merges [state]
+   first takes in a merge that is then undone — a clean merge rolled
+   back through a checkpoint, as the loader does, or a merge that raises
+   part-way and undoes itself: a duplicate definition after earlier
+   functions of the same module were merged, a slot-base mismatch, or
+   ECN exhaustion after every site was merged.  After each undo the
+   tables and stats must equal the twin's, and so must the next merge's
+   delta. *)
+let test_rollback_restores () =
+  let stats_triple s =
+    let st = state_stats s in
+    (st.n_ibs, st.n_ibts, st.n_eqcs)
   in
-  let s0, _ = merge (empty_state ()) m0 in
-  let before = state_tables s0 in
-  let _ = merge s0 m1 in
-  Alcotest.check pairs "tary untouched" (fst before) (fst (state_tables s0));
-  Alcotest.check pairs "bary untouched" (snd before) (snd (state_tables s0))
+  let same what s twin =
+    let t, b = state_tables s and t', b' = state_tables twin in
+    Alcotest.check pairs (what ^ ": tary") t' t;
+    Alcotest.check pairs (what ^ ": bary") b' b;
+    Alcotest.(check (triple int int int)) (what ^ ": stats")
+      (stats_triple twin) (stats_triple s)
+  in
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| 0xB0B; seed |] in
+    let nmodules = 4 + (seed mod 4) in
+    let modules = List.init nmodules (fun k -> gen_module rng ~nmodules k) in
+    let s = empty_state () and twin = empty_state () in
+    List.iteri
+      (fun k m ->
+        let what kind = Printf.sprintf "seed %d, module %d, %s" seed k kind in
+        let m = { m with m_slot_base = state_sites s } in
+        let raises kind bad =
+          match merge s bad with
+          | _ -> Alcotest.failf "%s: merge did not raise" (what kind)
+          | exception Invalid_argument _ when kind <> "ECN exhaustion" ->
+            same (what kind) s twin
+          | exception Too_many_classes _ when kind = "ECN exhaustion" ->
+            same (what kind) s twin
+        in
+        (match Random.State.int rng 4 with
+        | 0 ->
+          let cp = checkpoint s in
+          ignore (merge s m);
+          rollback s cp;
+          same (what "clean merge undone") s twin
+        | 1 when k > 0 ->
+          (* the module's own functions merge first, then a definition
+             of a name an earlier module owns *)
+          let dup = List.hd (List.hd modules).m_functions in
+          raises "duplicate definition"
+            { m with m_functions = m.m_functions @ [ dup ] }
+        | 2 -> raises "slot-base mismatch" { m with m_slot_base = m.m_slot_base + 1 }
+        | 3 when k > 0 ->
+          (* every site merges, then the assignment runs out of ECNs:
+             one jump table per fresh address is one class each *)
+          raises "ECN exhaustion"
+            {
+              m with
+              m_sites =
+                Array.append m.m_sites
+                  (Array.init Idtables.Id.max_ecn (fun i ->
+                       Sjumptable
+                         { fn = "x"; target_addrs = [ 0x4000_0000 + (8 * i) ] }));
+            }
+        | _ -> ());
+        let d = merge s m and d' = merge twin m in
+        Alcotest.(check bool) (what "next delta equals the twin's") true (d = d');
+        same (what "after the next merge") s twin)
+      modules
+  done
 
 let cfggen_tests =
   [
     Alcotest.test_case "randomized chains: merge ≡ generate" `Quick
       test_random_chains;
     Alcotest.test_case "merge misuse raises" `Quick test_merge_misuse;
-    Alcotest.test_case "merge does not mutate its input" `Quick
-      test_merge_preserves_input_state;
+    Alcotest.test_case "rollback restores pre-merge state" `Quick
+      test_rollback_restores;
   ]
 
 (* ---------- process level: real modules through [Process.load] ---------- *)
@@ -345,10 +452,153 @@ let test_process_chain () =
     done
   done
 
+(* The cost of a load must scale with the module, not the program.  A
+   64-module chain shaped like the benchmark's dlopen workload — 24
+   functions per module over three function-pointer types shared by
+   every module, each module's entry reached from main through the PLT —
+   is loaded one module at a time, and the heap allocation of each load
+   is counted.  Allocation is an exact, deterministic count, so the gate
+   does not depend on host speed: the mean over loads 49–64 must stay
+   within 1.25x of the mean over loads 9–24.  Work proportional to the
+   loaded program (copying the merge state or the symbol maps,
+   reassigning every ECN, diffing every slot) makes it grow ~1.7x. *)
+let chain_modules = 64
+let chain_fns = 24
+
+let chain_module rng k =
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let params = [| ""; "int"; "int, int"; "int, int, int" |] in
+  let arity =
+    Array.init chain_fns (fun i ->
+        if i < 6 then 1 + (i mod 3) else 1 + Random.State.int rng 3)
+  in
+  Array.iteri
+    (fun i a ->
+      let args = List.init a (fun j -> Printf.sprintf "x%d" j) in
+      p "int m%d_f%d(%s) { return %s + %d; }
+" k i
+        (String.concat ", " (List.map (( ^ ) "int ") args))
+        (String.concat " + " args) (1 + Random.State.int rng 9))
+    arity;
+  p "int m%d_go(int n) {
+  int s;
+" k;
+  List.iter
+    (fun a ->
+      let fs = List.filter (fun i -> arity.(i) = a) (List.init chain_fns Fun.id) in
+      p "  int (*t%d[%d])(%s);
+" a (List.length fs) params.(a);
+      List.iteri (fun j i -> p "  t%d[%d] = m%d_f%d;
+" a j k i) fs;
+      p "  s = s + t%d[n %% %d](%s);
+" a (List.length fs)
+        (String.concat ", " (List.init a (fun _ -> "n"))))
+    [ 1; 2; 3 ];
+  p "  return s;
+}
+";
+  Buffer.contents b
+
+let test_load_allocation_scales () =
+  let rng = Random.State.make [| 1 |] in
+  let chain =
+    List.init chain_modules (fun k ->
+        (Printf.sprintf "m%d" k, chain_module rng k))
+  in
+  let main =
+    String.concat ""
+      (List.init chain_modules (Printf.sprintf "extern int m%d_go(int n);\n"))
+    ^ "int main() {\n  int s;\n  s = 0;\n"
+    ^ String.concat ""
+        (List.init chain_modules (fun k -> Printf.sprintf "  s = s + m%d_go(%d);\n" k k))
+    ^ "  return s;\n}\n"
+  in
+  let exe =
+    Mcfi.Pipeline.link_executable ~sources:[ ("main", main) ] ~dynamic:chain ()
+  in
+  let objs = List.map (fun (name, src) -> obj_of name src) chain in
+  let proc = Process.create () in
+  Process.load proc exe;
+  let words =
+    Array.of_list
+      (List.map
+         (fun obj ->
+           let before = Gc.allocated_bytes () in
+           Process.load proc obj;
+           Gc.allocated_bytes () -. before)
+         objs)
+  in
+  check_oracle proc "after the chain";
+  (* loads are numbered from 1 *)
+  let mean first last =
+    let sum = ref 0.0 in
+    for i = first to last do
+      sum := !sum +. words.(i - 1)
+    done;
+    !sum /. float_of_int (last - first + 1)
+  in
+  let early = mean 9 24 and late = mean 49 64 in
+  if late > 1.25 *. early then
+    Alcotest.failf
+      "per-load allocation grows with the program: %.0f bytes over loads \
+       9-24, %.0f over loads 49-64 (%.2fx > 1.25x)"
+      early late (late /. early)
+
+(* The flight recorder's class names describe the installed classes,
+   never a merge that was undone.  Module B joins "alpha" to the int(int)
+   class that module A's "zeta" started, which would rename its ECN
+   "alpha+1"; but B's load fails its self-check (the version of A's
+   call site in that class was corrupted first, B's delta grows the
+   class without rewriting it, so the class is not version-uniform) and
+   rolls back, so the class must still be named "zeta". *)
+let test_namer_after_failed_load () =
+  let proc = Process.create ~self_check:true () in
+  Process.load proc
+    (obj_of "a"
+       "int zeta(int x) { return x; }\n\
+        int a_go(int n) { int (*fp)(int); fp = zeta; return fp(n); }\n");
+  let n_eqcs =
+    match Process.cfg_stats proc with
+    | Some st -> st.n_eqcs
+    | None -> Alcotest.fail "no cfg stats"
+  in
+  let e =
+    match
+      List.find_opt
+        (fun e -> Obs.Flightrec.ecn_name e = "zeta")
+        (List.init n_eqcs Fun.id)
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "no class is named after zeta"
+  in
+  let tables = Option.get (Process.tables proc) in
+  List.iter
+    (fun (slot, id) ->
+      if Idtables.Id.ecn id = e then
+        Idtables.Tables.bary_set tables slot
+          (Idtables.Id.pack ~ecn:e ~version:(Idtables.Id.version id + 1)))
+    (Idtables.Tables.bary_entries tables);
+  (match
+     Process.load proc
+       (obj_of "b"
+          "int alpha(int x) { return x + 1; }\n\
+           int b_go(int n) { int (*fp)(int); fp = alpha; return fp(n); }\n")
+   with
+  | () -> Alcotest.fail "load over corrupted tables passed its self-check"
+  | exception Process.Error _ -> ());
+  Alcotest.(check (list string)) "b rolled back" [ "a" ] (Process.loaded_names proc);
+  Alcotest.(check string) "class keeps its installed name" "zeta"
+    (Obs.Flightrec.ecn_name e)
+
 let process_tests =
   [
+    Alcotest.test_case "namer after a failed self-check" `Quick
+      test_namer_after_failed_load;
     Alcotest.test_case "randomized dlopen chains with rollback" `Quick
       test_process_chain;
+    Alcotest.test_case "per-load allocation is flat"
+      `Quick test_load_allocation_scales;
   ]
 
 let () =

@@ -66,22 +66,47 @@ let test_ufd_add_and_union () =
   Alcotest.(check bool) "d alone" false (Uf.Dynamic.same t a d);
   Alcotest.(check int) "three sets" 3 (Uf.Dynamic.count t)
 
-let test_ufd_copy_independent () =
+(* Undo restores the structure exactly: every key's representative, the
+   set count and the size, after unions whose finds compressed paths
+   that existed before the mark. *)
+let test_ufd_undo_restores () =
   let t = Uf.Dynamic.create () in
-  let a = Uf.Dynamic.add t in
-  let b = Uf.Dynamic.add t in
-  let snapshot = Uf.Dynamic.copy t in
-  ignore (Uf.Dynamic.union t a b);
-  let c = Uf.Dynamic.add t in
-  Alcotest.(check bool) "merged in original" true (Uf.Dynamic.same t a b);
-  Alcotest.(check bool)
-    "snapshot untouched" false
-    (Uf.Dynamic.same snapshot a b);
-  Alcotest.(check int) "snapshot size" 2 (Uf.Dynamic.size snapshot);
-  (* and the other direction: mutating the copy leaves the original alone *)
-  let snapshot2 = Uf.Dynamic.copy t in
-  ignore (Uf.Dynamic.union snapshot2 a c);
-  Alcotest.(check bool) "original unaffected" false (Uf.Dynamic.same t a c)
+  for _ = 1 to 12 do
+    ignore (Uf.Dynamic.add t)
+  done;
+  (* two deep trees, so later finds compress pre-existing paths *)
+  List.iter
+    (fun (a, b) -> ignore (Uf.Dynamic.union t a b))
+    [ (0, 1); (2, 3); (0, 2); (4, 5); (6, 7); (4, 6); (0, 4); (8, 9) ];
+  let reps () = List.init (Uf.Dynamic.size t) (Uf.Dynamic.find t) in
+  let before = reps () and count = Uf.Dynamic.count t in
+  let m = Uf.Dynamic.mark t in
+  let k = Uf.Dynamic.add t in
+  List.iter
+    (fun (a, b) -> ignore (Uf.Dynamic.union t a b))
+    [ (7, 9); (10, k); (3, 11); (5, 10) ];
+  ignore (reps ());
+  (* a nested mark released inside the outer one is undone with it *)
+  let inner = Uf.Dynamic.mark t in
+  ignore (Uf.Dynamic.union t 1 k);
+  Uf.Dynamic.release t inner;
+  Alcotest.(check int) "one set left" 1 (Uf.Dynamic.count t);
+  Uf.Dynamic.undo t m;
+  Alcotest.(check int) "size" 12 (Uf.Dynamic.size t);
+  Alcotest.(check int) "count" count (Uf.Dynamic.count t);
+  Alcotest.(check (list int)) "representatives" before (reps ());
+  (* set cycles are restored too *)
+  let members x =
+    let acc = ref [] in
+    Uf.Dynamic.iter_set t x (fun y -> acc := y :: !acc);
+    List.sort compare !acc
+  in
+  Alcotest.(check (list int)) "set of 0" [ 0; 1; 2; 3; 4; 5; 6; 7 ] (members 0);
+  Alcotest.(check (list int)) "set of 9" [ 8; 9 ] (members 9);
+  Alcotest.(check (list int)) "set of 11" [ 11 ] (members 11);
+  Alcotest.check_raises "no mark open"
+    (Invalid_argument "Union_find.Dynamic.undo: mark is not open") (fun () ->
+      Uf.Dynamic.undo t m)
 
 let test_ufd_unallocated_raises () =
   let t = Uf.Dynamic.create () in
@@ -116,6 +141,35 @@ let prop_ufd_matches_static =
            (List.concat_map
               (fun a -> List.init n (fun b -> (a, b)))
               (List.init n Fun.id)))
+
+let prop_ufd_undo =
+  (* any unions after a mark, undone, leave every representative, the
+     count and every set's members as they were *)
+  QCheck.Test.make ~name:"undo restores sets" ~count:200
+    QCheck.(
+      pair
+        (list_of_size (QCheck.Gen.int_bound 20) (pair (int_bound 14) (int_bound 14)))
+        (list_of_size (QCheck.Gen.int_bound 20) (pair (int_bound 19) (int_bound 19))))
+    (fun (pre, post) ->
+      let d = Uf.Dynamic.create () in
+      for _ = 1 to 15 do
+        ignore (Uf.Dynamic.add d)
+      done;
+      List.iter (fun (a, b) -> ignore (Uf.Dynamic.union d a b)) pre;
+      let sets () =
+        List.init 15 (fun x ->
+            let acc = ref [] in
+            Uf.Dynamic.iter_set d x (fun y -> acc := y :: !acc);
+            (Uf.Dynamic.find d x, List.sort compare !acc))
+      in
+      let before = sets () and count = Uf.Dynamic.count d in
+      let m = Uf.Dynamic.mark d in
+      for _ = 1 to 5 do
+        ignore (Uf.Dynamic.add d)
+      done;
+      List.iter (fun (a, b) -> ignore (Uf.Dynamic.union d a b)) post;
+      Uf.Dynamic.undo d m;
+      Uf.Dynamic.size d = 15 && Uf.Dynamic.count d = count && sets () = before)
 
 let test_prng_deterministic () =
   let a = Prng.create 42L and b = Prng.create 42L in
@@ -158,12 +212,12 @@ let () =
       ( "union_find dynamic",
         [
           Alcotest.test_case "add & union" `Quick test_ufd_add_and_union;
-          Alcotest.test_case "copy is independent" `Quick
-            test_ufd_copy_independent;
+          Alcotest.test_case "undo restores state" `Quick
+            test_ufd_undo_restores;
           Alcotest.test_case "unallocated raises" `Quick
             test_ufd_unallocated_raises;
         ] );
-      ("union_find dynamic props", qc [ prop_ufd_matches_static ]);
+      ("union_find dynamic props", qc [ prop_ufd_matches_static; prop_ufd_undo ]);
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
