@@ -1032,9 +1032,8 @@ let flightrec_overhead () =
      really snapshots *)
   Obs.Flightrec.set_cap Obs.Flightrec.Supervisor_transition (-1);
   for i = 0 to 511 do
-    Obs.Flightrec.note
-      ~kind:Telemetry.Event.(kind_code Check_pass)
-      ~ctx:(Telemetry.Event.make_ctx ~shard:(i mod 4) ())
+    Obs.Flightrec.note Telemetry.Event.Check_pass
+      ~x:(Telemetry.Event.make_ctx ~shard:(i mod 4) ())
       ~a:i ~b:(0x1000 + (4 * i)) ~c:0
   done;
   let snaps = 200 in
@@ -1045,7 +1044,8 @@ let flightrec_overhead () =
        Obs.Flightrec.record_trigger Obs.Flightrec.Supervisor_transition
          ~reason:"bench: snapshot latency probe" ()
      with
-    | Some b -> ignore (Obs.Json.to_string (Obs.Flightrec.bundle_json b))
+    | Some b ->
+      ignore (Mcfi_util.Json.to_string (Obs.Flightrec.bundle_json b))
     | None -> ());
     ds.(i) <- float_of_int (Telemetry.now_ns () - t0)
   done;
@@ -1269,7 +1269,7 @@ let json () =
   | Ok () -> ()
   | Error m -> failwith (out ^ " failed validation: " ^ m));
   let oc = open_out out in
-  output_string oc (Mcfi.Benchjson.to_string report);
+  output_string oc (Mcfi_util.Json.to_string report);
   output_char oc '\n';
   close_out oc;
   Fmt.pr "wrote %s@." out;

@@ -1,8 +1,8 @@
 (** Machine-readable benchmark reports ({!output_file}).
 
-    A dependency-free JSON value type with an emitter and a small parser
-    (the tier-1 smoke test re-parses what the bench emits), plus the
-    incremental-linking measurement itself: an N-module dlopen chain run
+    The report document and its validator (the tier-1 smoke test
+    re-parses what the bench emits with {!Mcfi_util.Json.parse}), plus
+    the incremental-linking measurement itself: an N-module dlopen chain run
     twice — once against the historical regenerate-everything linker,
     once against the incremental one — with the differential oracle
     checked after every incremental install (outside the timed window).
@@ -11,30 +11,15 @@
     suite can run a scaled-down chain and validate the report shape
     without executing the benchmark binary. *)
 
-type t =
+(** The report is a {!Mcfi_util.Json} document; the constructors are
+    re-exported so report builders can stay in this module's terms. *)
+type t = Mcfi_util.Json.t =
   | Null
   | Bool of bool
   | Num of float
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-
-(** Serialize; numbers print in a [float_of_string]-compatible form.
-    Non-finite numbers serialize as [null] (and fail {!validate}). *)
-val to_string : t -> string
-
-(** Parse the subset {!to_string} emits (standard JSON; [\u] escapes
-    outside ASCII decode to ['?']). *)
-val parse : string -> (t, string) result
-
-(** [member k j] is field [k] of object [j]. *)
-val member : string -> t -> t option
-
-(** [path ks j] follows a chain of object fields. *)
-val path : string list -> t -> t option
-
-(** The numeric value, if [j] is a finite number. *)
-val num : t -> float option
 
 (** {2 The dlopen-chain scaling measurement} *)
 

@@ -1,10 +1,10 @@
 (* Consumer side of the flight recorder's forensic bundles: parse the
    self-contained JSON back, check the shape the emitter guarantees, and
-   replay it for a human.  Lives in the core library (next to the
-   Benchjson parser it reuses) so both the CLI subcommand and the tier-1
-   suite can drive it without the bench binary. *)
+   replay it for a human.  Lives in the core library so both the CLI
+   subcommand and the tier-1 suite can drive it without the bench
+   binary. *)
 
-module J = Benchjson
+module J = Mcfi_util.Json
 
 let of_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -24,7 +24,7 @@ let field name j =
 
 let number name j =
   let* v = field name j in
-  match J.num v with
+  match J.to_float v with
   | Some f when Float.is_finite f -> Ok f
   | _ -> err "field %S is not a finite number" name
 
@@ -129,7 +129,7 @@ let validate j =
 
 let geti name j =
   match J.member name j with
-  | Some v -> ( match J.num v with Some f -> int_of_float f | None -> 0)
+  | Some v -> ( match J.to_float v with Some f -> int_of_float f | None -> 0)
   | None -> 0
 
 let gets name j =
@@ -155,14 +155,14 @@ let rec pp_json ppf = function
 let pp_event ppf e =
   let ctx =
     (match J.member "shard" e with
-    | Some v -> Fmt.str " shard=%g" (Option.value ~default:0. (J.num v))
+    | Some v -> Fmt.str " shard=%g" (Option.value ~default:0. (J.to_float v))
     | None -> "")
     ^ (match J.member "dispatch" e with
       | Some (J.Str s) -> " dispatch=" ^ s
       | _ -> "")
     ^
     match J.member "alert" e with
-    | Some v -> Fmt.str " alert=#%g" (Option.value ~default:0. (J.num v))
+    | Some v -> Fmt.str " alert=#%g" (Option.value ~default:0. (J.to_float v))
     | None -> ""
   in
   Fmt.pf ppf "[d%d #%d] %-16s a=%-6d b=%-8d c=%-6d%s" (geti "domain" e)

@@ -204,4 +204,5 @@ let state t ~shard = Tables.state (tables t shard)
 let states t = List.init t.count (fun i -> state t ~shard:i)
 
 let states_json t =
-  Obs.Json.Arr (List.init t.count (fun i -> Tables.state_json (tables t i)))
+  Mcfi_util.Json.Arr
+    (List.init t.count (fun i -> Tables.state_json (tables t i)))

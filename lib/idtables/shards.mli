@@ -207,5 +207,5 @@ val state : t -> shard:int -> Tables.state
 val states : t -> Tables.state list
 (** Every shard's state, in shard order. *)
 
-val states_json : t -> Obs.Json.t
+val states_json : t -> Mcfi_util.Json.t
 (** {!states} as the ["shards"] array of the forensic-bundle schema. *)

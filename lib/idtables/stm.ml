@@ -82,11 +82,9 @@ let recover (_ : variant) t = Tx.recover t
    still requires the two IDs bit-identical (the same argument that
    makes the plain-cell tables safe). *)
 
-type attempt = A_pass | A_violation | A_skew
-
 let norec_attempt t ~bary_index ~target =
   let s0 = Tables.seq_read t in
-  if s0 land 1 = 1 then A_skew
+  if s0 land 1 = 1 then Tx.A_skew
   else begin
     let bid = Tables.bary_read t bary_index in
     let tid = Tables.tary_read t target in
@@ -95,102 +93,25 @@ let norec_attempt t ~bary_index ~target =
       || (Tables.bary_read t bary_index = bid
          && Tables.tary_read t target = tid)
     in
-    if not consistent then A_skew
-    else if bid = tid then A_pass
-    else if not (Id.valid tid) then A_violation
-    else if not (Id.same_version bid tid) then A_skew
-    else A_violation
+    if not consistent then Tx.A_skew
+    else if bid = tid then Tx.A_pass
+    else if not (Id.valid tid) then Tx.A_violation
+    else if not (Id.same_version bid tid) then Tx.A_skew
+    else Tx.A_violation
   end
 
 let seqlock_attempt t ~bary_index ~target =
   let s0 = Tables.seq_read t in
-  if s0 land 1 = 1 then A_skew
+  if s0 land 1 = 1 then Tx.A_skew
   else begin
     let bid = Tables.bary_read t bary_index in
     let tid = Tables.tary_read t target in
-    if Tables.seq_read t <> s0 then A_skew
-    else if bid = tid then A_pass
-    else if not (Id.valid tid) then A_violation
-    else if not (Id.same_version bid tid) then A_skew
-    else A_violation
+    if Tables.seq_read t <> s0 then Tx.A_skew
+    else if bid = tid then Tx.A_pass
+    else if not (Id.valid tid) then Tx.A_violation
+    else if not (Id.same_version bid tid) then Tx.A_skew
+    else Tx.A_violation
   end
-
-(* The retry engine around one attempt function: the same loop shape,
-   budget accounting, watchdog, escalation ladder and telemetry bracket
-   as [Tx.check], so harnesses can swap variants without changing how
-   outcomes are produced or observed. *)
-let engine attempt ?max_retries ?(escalation = Tx.Fail_check) ?watchdog
-    ?jitter ?(on_retry = fun () -> ()) t ~bary_index ~target =
-  let ctx = Telemetry.check_begin () in
-  let telemetry_on = ctx <> 0 in
-  let xw () = Telemetry.Event.make_ctx ~shard:(Tables.shard t) () in
-  let nretries = ref 0 in
-  let rec go ~recovered budget round =
-    match attempt t ~bary_index ~target with
-    | A_pass -> Tx.Pass
-    | A_violation -> Tx.Violation
-    | A_skew -> begin
-      match budget with
-      | Some 0 -> escalate escalation ~recovered
-      | _ -> begin
-        match watchdog with
-        | Some w when round >= w.Tx.wd_deadline ->
-          Faults.Stats.count_watchdog ();
-          if telemetry_on then
-            Telemetry.emit Telemetry.Event.Watchdog_fire
-              ~a:(Tables.version t) ~b:bary_index ~c:round ~x:(xw ());
-          if Obs.Flightrec.recording () then
-            Tx.capture_watchdog t ~bary_index ~target ~rounds:round;
-          escalate w.Tx.wd_on_expire ~recovered
-        | _ ->
-          retry round;
-          go ~recovered (Option.map (fun n -> n - 1) budget) (round + 1)
-      end
-    end
-  and retry round =
-    Faults.Stats.count_retry ();
-    incr nretries;
-    if telemetry_on && Telemetry.ctx_sampled ctx then
-      Telemetry.emit Telemetry.Event.Check_retry ~a:bary_index ~b:target
-        ~c:round ~x:(xw ());
-    on_retry ();
-    Tx.backoff ?jitter round
-  and escalate esc ~recovered =
-    match esc with
-    | Tx.Fail_check ->
-      Faults.Stats.count_failed_check ();
-      Tx.Retries_exhausted
-    | Tx.Halt_process ->
-      Faults.Stats.count_halt ();
-      Tx.Violation
-    | Tx.Wait_for_updater ->
-      if recovered then begin
-        Faults.Stats.count_failed_check ();
-        Tx.Retries_exhausted
-      end
-      else begin
-        Faults.Stats.count_wait ();
-        ignore (Tx.recover t);
-        go ~recovered:true max_retries 0
-      end
-  in
-  let outcome = go ~recovered:false max_retries 0 in
-  (match outcome with
-  | Tx.Pass -> ()
-  | (Tx.Violation | Tx.Retries_exhausted) as o ->
-    if Obs.Flightrec.recording () then
-      Tx.capture_failure t ~bary_index ~target ~outcome:o ~retries:!nretries);
-  if Telemetry.ctx_active ctx then begin
-    let code =
-      match outcome with
-      | Tx.Pass -> 0
-      | Tx.Violation -> 1
-      | Tx.Retries_exhausted -> 2
-    in
-    Telemetry.check_end ctx ~outcome:code ~slot:bary_index ~target
-      ~retries:!nretries ~x:(xw ())
-  end;
-  outcome
 
 let check v ?max_retries ?escalation ?watchdog ?jitter ?on_retry t
     ~bary_index ~target =
@@ -199,10 +120,10 @@ let check v ?max_retries ?escalation ?watchdog ?jitter ?on_retry t
     Tx.check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t
       ~bary_index ~target
   | Norec ->
-    engine norec_attempt ?max_retries ?escalation ?watchdog ?jitter
+    Tx.check_with norec_attempt ?max_retries ?escalation ?watchdog ?jitter
       ?on_retry t ~bary_index ~target
   | Seqlock ->
-    engine seqlock_attempt ?max_retries ?escalation ?watchdog ?jitter
+    Tx.check_with seqlock_attempt ?max_retries ?escalation ?watchdog ?jitter
       ?on_retry t ~bary_index ~target
 
 (* Version hoisting is variant-agnostic: the hit path validates on the

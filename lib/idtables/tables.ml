@@ -399,29 +399,31 @@ let state t =
     st_journal = Option.map journal_state (journal t);
   }
 
+module Json = Mcfi_util.Json
+
 let state_json t =
   let s = state t in
-  Obs.Json.Obj
+  Json.Obj
     [
-      ("shard", Obs.Json.num s.st_shard);
-      ("version", Obs.Json.num s.st_version);
-      ("seq", Obs.Json.num s.st_seq);
-      ("updates_since_quiesce", Obs.Json.num s.st_updates_since_quiesce);
-      ("quiesce_events", Obs.Json.num s.st_quiesce_events);
-      ("readers", Obs.Json.num s.st_readers);
-      ("update_in_progress", Obs.Json.Bool s.st_update_in_progress);
-      ("code_size", Obs.Json.num s.st_code_size);
-      ("bary_slots", Obs.Json.num s.st_bary_slots);
+      ("shard", Json.num s.st_shard);
+      ("version", Json.num s.st_version);
+      ("seq", Json.num s.st_seq);
+      ("updates_since_quiesce", Json.num s.st_updates_since_quiesce);
+      ("quiesce_events", Json.num s.st_quiesce_events);
+      ("readers", Json.num s.st_readers);
+      ("update_in_progress", Json.Bool s.st_update_in_progress);
+      ("code_size", Json.num s.st_code_size);
+      ("bary_slots", Json.num s.st_bary_slots);
       ( "journal",
         match s.st_journal with
-        | None -> Obs.Json.Null
+        | None -> Json.Null
         | Some j ->
-          Obs.Json.Obj
+          Json.Obj
             [
-              ("version", Obs.Json.num j.js_version);
-              ("tag", Obs.Json.num j.js_tag);
-              ("kind", Obs.Json.Str j.js_kind);
-              ("writes", Obs.Json.num j.js_writes);
+              ("version", Json.num j.js_version);
+              ("tag", Json.num j.js_tag);
+              ("kind", Json.Str j.js_kind);
+              ("writes", Json.num j.js_writes);
             ] );
     ]
 

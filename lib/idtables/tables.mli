@@ -298,7 +298,7 @@ type state = {
 
 val state : t -> state
 
-val state_json : t -> Obs.Json.t
+val state_json : t -> Mcfi_util.Json.t
 (** {!state} as the ["shard"] object of the forensic-bundle schema. *)
 
 (** An opaque copy of the full table state — version, covered code size,

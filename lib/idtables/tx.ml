@@ -264,45 +264,48 @@ let recover t = Tables.with_update_lock t (fun () -> recover_locked t)
    box is the thing that must still have answers when sampling was off.
    Only failing outcomes reach here, so the pass path pays nothing; an
    over-cap trigger costs two atomic loads ([trigger_armed]) before any
-   string or JSON is built. *)
+   string or JSON is built.  Each occurrence is one ring event: a check
+   whose sampled outcome event [check_end] already wrote ([traced]) is
+   not noted again. *)
+
+module Json = Mcfi_util.Json
 
 let id_json id =
   if Id.valid id then
-    Obs.Json.Obj
+    Json.Obj
       [
-        ("word", Obs.Json.num id);
-        ("ecn", Obs.Json.num (Id.ecn id));
-        ("ecn_class", Obs.Json.Str (Obs.Flightrec.ecn_name (Id.ecn id)));
-        ("version", Obs.Json.num (Id.version id));
+        ("word", Json.num id);
+        ("ecn", Json.num (Id.ecn id));
+        ("ecn_class", Json.Str (Obs.Flightrec.ecn_name (Id.ecn id)));
+        ("version", Json.num (Id.version id));
       ]
-  else
-    Obs.Json.Obj
-      [ ("word", Obs.Json.num id); ("valid", Obs.Json.Bool false) ]
+  else Json.Obj [ ("word", Json.num id); ("valid", Json.Bool false) ]
 
 let site_json t ~bary_index ~target ~retries =
   let bid = Tables.bary_read t bary_index in
   let tid = Tables.tary_read t target in
-  Obs.Json.Obj
+  Json.Obj
     [
-      ("slot", Obs.Json.num bary_index);
-      ("target", Obs.Json.num target);
+      ("slot", Json.num bary_index);
+      ("target", Json.num target);
       ("bary_id", id_json bid);
       ("tary_id", id_json tid);
-      ("retries", Obs.Json.num retries);
+      ("retries", Json.num retries);
     ]
 
-let capture_failure t ~bary_index ~target ~outcome ~retries =
+let capture_failure ?(traced = false) t ~bary_index ~target ~outcome
+    ~retries =
   let shard = Tables.shard t in
-  let ctx = Telemetry.Event.make_ctx ~shard () in
   let kind, tr =
     match outcome with
     | Retries_exhausted ->
-      ( Telemetry.Event.(kind_code Check_exhausted),
-        Obs.Flightrec.Tx_escalation )
-    | _ ->
-      (Telemetry.Event.(kind_code Check_violation), Obs.Flightrec.Failed_check)
+      (Telemetry.Event.Check_exhausted, Obs.Flightrec.Tx_escalation)
+    | _ -> (Telemetry.Event.Check_violation, Obs.Flightrec.Failed_check)
   in
-  Obs.Flightrec.note ~kind ~ctx ~a:bary_index ~b:target ~c:retries;
+  if not traced then
+    Obs.Flightrec.note
+      ~x:(Telemetry.Event.make_ctx ~shard ())
+      kind ~a:bary_index ~b:target ~c:retries;
   if Obs.Flightrec.trigger_armed tr then begin
     let reason =
       Fmt.str "%a at slot %d target 0x%x (shard %d, %d retries)" pp_outcome
@@ -320,10 +323,13 @@ let capture_failure t ~bary_index ~target ~outcome ~retries =
 
 let capture_watchdog t ~bary_index ~target ~rounds =
   let shard = Tables.shard t in
-  let ctx = Telemetry.Event.make_ctx ~shard () in
-  Obs.Flightrec.note
-    ~kind:Telemetry.Event.(kind_code Watchdog_fire)
-    ~ctx ~a:(Tables.version t) ~b:bary_index ~c:rounds;
+  (* [a] is the table version the skew was observed against: the
+     install responsible published its Update_begin for this (or a
+     later) version at a smaller sequence number, which is what makes
+     the fire attributable from the merged trace. *)
+  Obs.Flightrec.event Telemetry.Event.Watchdog_fire
+    ~x:(Telemetry.Event.make_ctx ~shard ())
+    ~a:(Tables.version t) ~b:bary_index ~c:rounds;
   if Obs.Flightrec.trigger_armed Obs.Flightrec.Watchdog then begin
     let reason =
       Fmt.str "watchdog fired after %d rounds at slot %d (shard %d)" rounds
@@ -339,106 +345,126 @@ let capture_watchdog t ~bary_index ~target ~rounds =
          ())
   end
 
-let check ?max_retries ?(escalation = Fail_check) ?watchdog ?jitter
-    ?(on_retry = fun () -> ()) t ~bary_index ~target =
+(* ---- the check transaction ----
+
+   One attempt of a read protocol decides [A_pass] on bit-identical IDs
+   and [A_violation] on an invalid target or an ECN mismatch at equal
+   versions; version skew ([A_skew]) means an install is (or was) in
+   flight and the attempt is retried.  [check_with] is the one retry
+   engine around an attempt — budget, watchdog, escalation ladder and
+   every probe — shared by MCFI's own protocol and the [Stm] variants. *)
+
+type attempt = A_pass | A_violation | A_skew
+
+(* MCFI's protocol: no snapshot validation, the ID encoding arbitrates *)
+let tml_attempt t ~bary_index ~target =
+  let bid = Tables.bary_read t bary_index in
+  let tid = Tables.tary_read t target in
+  if bid = tid then A_pass
+  else if not (Id.valid tid) then A_violation
+  else if not (Id.same_version bid tid) then A_skew
+  else A_violation
+
+let check_with attempt ?max_retries ?(escalation = Fail_check) ?watchdog
+    ?jitter ?(on_retry = fun () -> ()) t ~bary_index ~target =
   let ctx = Telemetry.check_begin () in
-  let telemetry_on = ctx <> 0 in
-  let xw () = Telemetry.Event.make_ctx ~shard:(Tables.shard t) () in
-  let nretries = ref 0 in
-  let rec attempt ~recovered budget round =
-    let bid = Tables.bary_read t bary_index in
-    let tid = Tables.tary_read t target in
-    if bid = tid then Pass
-    else if not (Id.valid tid) then Violation
-    else if not (Id.same_version bid tid) then begin
-      match budget with
-      | Some 0 -> escalate escalation ~recovered
-      | _ -> begin
-        match watchdog with
-        | Some w when round >= w.wd_deadline ->
-          (* the skew outlived the deadline: the update-lock holder is
-             stalled, or a dead updater left the tables torn *)
-          Faults.Stats.count_watchdog ();
-          if telemetry_on then begin
-            (* [a] is the table version the skew was observed against:
-               the install responsible published its Update_begin for
-               this (or a later) version at a smaller sequence number,
-               which is what makes the fire attributable from the
-               merged trace. *)
-            Telemetry.emit Telemetry.Event.Watchdog_fire
-              ~a:(Tables.version t) ~b:bary_index ~c:round ~x:(xw ());
-            Telemetry.Metrics.observe m_watchdog_wait round
-          end;
-          if Obs.Flightrec.recording () then
+  match attempt t ~bary_index ~target with
+  | A_pass when not (Telemetry.ctx_active ctx) ->
+    (* the common case, a pass with no exit work, allocates nothing *)
+    Pass
+  | first ->
+    let telemetry_on = ctx <> 0 in
+    let xw () = Telemetry.Event.make_ctx ~shard:(Tables.shard t) () in
+    let nretries = ref 0 in
+    let rec go ~recovered budget round = function
+      | A_pass -> Pass
+      | A_violation -> Violation
+      | A_skew -> begin
+        match budget with
+        | Some 0 -> escalate escalation ~recovered
+        | _ -> begin
+          match watchdog with
+          | Some w when round >= w.wd_deadline ->
+            (* the skew outlived the deadline: the update-lock holder is
+               stalled, or a dead updater left the tables torn *)
+            Faults.Stats.count_watchdog ();
+            if telemetry_on then
+            Telemetry.Metrics.observe m_watchdog_wait round;
             capture_watchdog t ~bary_index ~target ~rounds:round;
-          escalate w.wd_on_expire ~recovered
-        | _ ->
-          retry round;
-          attempt ~recovered
-            (Option.map (fun n -> n - 1) budget)
-            (round + 1)
+            escalate w.wd_on_expire ~recovered
+          | _ ->
+            retry round;
+            go ~recovered
+              (Option.map (fun n -> n - 1) budget)
+              (round + 1)
+              (attempt t ~bary_index ~target)
+        end
       end
-    end
-    else Violation
-  and retry round =
-    Faults.Stats.count_retry ();
-    (* counted unconditionally: a forensic bundle reports the retry
-       ladder even when telemetry sampling was off *)
-    incr nretries;
-    if telemetry_on then begin
-      (* A sampled check traces its whole retry loop; unsampled checks
-         only tally.  During an install every checker retries at once, so
-         an unconditional per-retry event would contend the global trace
-         sequence across domains. *)
-      if Telemetry.ctx_sampled ctx then
-        Telemetry.emit Telemetry.Event.Check_retry ~a:bary_index ~b:target
-          ~c:round ~x:(xw ())
-    end;
-    on_retry ();
-    backoff ?jitter round
-  and escalate esc ~recovered =
-    match esc with
-    | Fail_check ->
-      Faults.Stats.count_failed_check ();
-      Retries_exhausted
-    | Halt_process ->
-      Faults.Stats.count_halt ();
-      Violation
-    | Wait_for_updater ->
-      if recovered then begin
-        (* waited once already and the skew persists: give up *)
+    and retry round =
+      Faults.Stats.count_retry ();
+      (* counted unconditionally: a forensic bundle reports the retry
+         ladder even when telemetry sampling was off *)
+      incr nretries;
+      if telemetry_on then begin
+        (* A sampled check traces its whole retry loop; unsampled checks
+           only tally.  During an install every checker retries at once, so
+           an unconditional per-retry event would contend the global trace
+           sequence across domains. *)
+        if Telemetry.ctx_sampled ctx then
+          Telemetry.emit Telemetry.Event.Check_retry ~a:bary_index ~b:target
+            ~c:round ~x:(xw ())
+      end;
+      on_retry ();
+      backoff ?jitter round
+    and escalate esc ~recovered =
+      match esc with
+      | Fail_check ->
         Faults.Stats.count_failed_check ();
         Retries_exhausted
-      end
-      else begin
-        (* Taking the update lock waits out a live updater; a dead one
-           left its journal, which the redo completes.  Either way the
-           skew is resolved — re-attempt once with a fresh budget. *)
-        Faults.Stats.count_wait ();
-        ignore (recover t);
-        attempt ~recovered:true max_retries 0
-      end
-  in
-  let outcome = attempt ~recovered:false max_retries 0 in
-  (match outcome with
-  | Pass -> ()
-  | (Violation | Retries_exhausted) as o ->
-    if Obs.Flightrec.recording () then
-      capture_failure t ~bary_index ~target ~outcome:o ~retries:!nretries);
-  (* Only a sampled or detail-mode check has exit work; the common
-     enabled check ends on this single inlined bit test.  Per-check
-     events or shared counters here would make every checker domain
-     fight over the same cache lines, which measures as tens of percent
-     of check throughput — rare structural events (watchdog fires,
-     update lifecycle, faults) are the only always-on emissions. *)
-  if Telemetry.ctx_active ctx then begin
-    let code =
-      match outcome with Pass -> 0 | Violation -> 1 | Retries_exhausted -> 2
+      | Halt_process ->
+        Faults.Stats.count_halt ();
+        Violation
+      | Wait_for_updater ->
+        if recovered then begin
+          (* waited once already and the skew persists: give up *)
+          Faults.Stats.count_failed_check ();
+          Retries_exhausted
+        end
+        else begin
+          (* Taking the update lock waits out a live updater; a dead one
+             left its journal, which the redo completes.  Either way the
+             skew is resolved — re-attempt once with a fresh budget. *)
+          Faults.Stats.count_wait ();
+          ignore (recover t);
+          go ~recovered:true max_retries 0 (attempt t ~bary_index ~target)
+        end
     in
-    Telemetry.check_end ctx ~outcome:code ~slot:bary_index ~target
-      ~retries:!nretries ~x:(xw ())
-  end;
-  outcome
+    let outcome = go ~recovered:false max_retries 0 first in
+    (* Only a sampled or detail-mode check has exit work; the common
+       enabled check ends on this single inlined bit test.  Per-check
+       events or shared counters here would make every checker domain
+       fight over the same cache lines, which measures as tens of percent
+       of check throughput — rare structural events (watchdog fires,
+       update lifecycle, faults) are the only always-on emissions. *)
+    if Telemetry.ctx_active ctx then begin
+      let code =
+        match outcome with Pass -> 0 | Violation -> 1 | Retries_exhausted -> 2
+      in
+      Telemetry.check_end ctx ~outcome:code ~slot:bary_index ~target
+        ~retries:!nretries ~x:(xw ())
+    end;
+    (match outcome with
+    | Pass -> ()
+    | (Violation | Retries_exhausted) as o ->
+      if Obs.Flightrec.recording () then
+        capture_failure ~traced:(Telemetry.ctx_sampled ctx) t ~bary_index
+          ~target ~outcome:o ~retries:!nretries);
+    outcome
+
+let check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t ~bary_index
+    ~target =
+  check_with tml_attempt ?max_retries ?escalation ?watchdog ?jitter ?on_retry
+    t ~bary_index ~target
 
 (* ---- version-hoisted check sites (TML-style read hoisting) ----
 

@@ -85,22 +85,28 @@ val seed_domain_jitter : int64 -> unit
 
 (** {2 Flight-recorder failure capture}
 
-    Gated on {!Obs.Flightrec.recording} alone — never on telemetry
-    sampling — so the black box still has answers when tracing was off.
-    [check] (and the STM variants, which share these helpers) call them
-    on every non-[Pass] outcome and on watchdog expiry; they are exposed
-    so other check implementations can report through the same
-    taxonomy. *)
+    Gated on {!Obs.Flightrec.recording} — never on telemetry sampling —
+    so the black box still has answers when tracing was off.
+    {!check_with} (so every STM variant) calls them on every non-[Pass]
+    outcome and on watchdog expiry; the hoisted-site hit path reports
+    cached violations through them too.  Each occurrence writes one ring
+    event. *)
 
 (** Record a violating / exhausted transfer: a breadcrumb in the calling
-    domain's black-box ring plus (cap permitting) a forensic bundle
+    domain's ring (skipped when [traced]: the check's sampled outcome
+    event is already there) plus (cap permitting) a forensic bundle
     whose [site] carries the slot, target, both ID words with ECN class
-    names, and [shard] the table's structural state. *)
+    names, and [shard] the table's structural state.  The caller gates
+    it on {!Obs.Flightrec.recording}. *)
 val capture_failure :
+  ?traced:bool ->
   Tables.t -> bary_index:int -> target:int -> outcome:outcome -> retries:int ->
   unit
 
-(** Record a watchdog expiry ([rounds] = backoff rounds waited). *)
+(** Record a watchdog expiry ([rounds] = backoff rounds waited): the
+    fire event ({!Obs.Flightrec.event}: traced when telemetry is on,
+    else noted) plus (cap permitting) a forensic bundle.  Ungated: both
+    writes check their own gates. *)
 val capture_watchdog :
   Tables.t -> bary_index:int -> target:int -> rounds:int -> unit
 
@@ -116,6 +122,28 @@ val capture_watchdog :
     chase a stalled updater.  [jitter] randomizes each retry's backoff
     (see {!backoff}); the PRNG is owned by the calling domain. *)
 val check :
+  ?max_retries:int ->
+  ?escalation:escalation ->
+  ?watchdog:watchdog ->
+  ?jitter:Mcfi_util.Prng.t ->
+  ?on_retry:(unit -> unit) ->
+  Tables.t ->
+  bary_index:int ->
+  target:int ->
+  outcome
+
+(** One attempt of a read protocol: [A_pass] on bit-identical IDs,
+    [A_violation] on an invalid target or an ECN mismatch at equal
+    versions, [A_skew] on version skew (an install is or was in flight:
+    retry). *)
+type attempt = A_pass | A_violation | A_skew
+
+(** [check_with attempt] is {!check} around another read protocol
+    ({!check} uses MCFI's own: no snapshot validation): the same retry
+    budget, watchdog, escalation ladder, telemetry bracket and
+    flight-recorder capture.  The [Stm] variants run through it. *)
+val check_with :
+  (Tables.t -> bary_index:int -> target:int -> attempt) ->
   ?max_retries:int ->
   ?escalation:escalation ->
   ?watchdog:watchdog ->

@@ -47,17 +47,15 @@ let render ?(color = true) ?(width = 30) () =
            Printf.sprintf "%02d:%02d:%02d" tm.Unix.tm_hour tm.Unix.tm_min
              tm.Unix.tm_sec)));
   (* flight recorder *)
-  let checks, passes, violations, exhausted, retries =
-    Flightrec.tally_totals ()
-  in
+  let ct = Telemetry.check_totals () in
   p "%s recording=%s bundles=%d dropped=%d notes=%d\n"
     (c bold "flight recorder:")
     (if Flightrec.recording () then c green "on" else c red "OFF")
     (Flightrec.emitted ()) (Flightrec.dropped ())
-    (Flightrec.notes_emitted ());
-  if checks > 0 then
-    p "  checks=%d pass=%d violation=%d exhausted=%d retries=%d\n" checks
-      passes violations exhausted retries;
+    (Telemetry.events_emitted ());
+  if ct.cc_checks > 0 then
+    p "  checks=%d pass=%d violation=%d exhausted=%d retries=%d\n"
+      ct.cc_checks ct.cc_passes ct.cc_violations ct.cc_exhausted ct.cc_retries;
   List.iter
     (fun (tr, n) ->
       if n > 0 then p "  %-22s %6d\n" (Flightrec.trigger_name tr) n)

@@ -3,35 +3,28 @@
    The sampled telemetry trace answers "what is the system doing?" when
    an operator has turned it on; the flight recorder answers "what just
    happened?" after something went wrong, and it must already have been
-   running.  Two consequences shape the design:
+   running.  It owns no event storage: breadcrumbs ([note]) go into
+   Telemetry's per-domain rings and per-check tallies into Telemetry's
+   slab.  What is specific to it:
 
    - Its gate is its own atomic, independent of [Telemetry.enabled].
      Telemetry changes behavior elsewhere (the threaded dispatcher
      falls back to the byte engine while telemetry is on, so it can
      profile), and the black box must not.  Recording defaults to ON.
 
-   - The write paths are strictly cheaper than the telemetry ring's:
-     breadcrumbs ([note]) touch no global sequence word — each
-     per-domain ring numbers its own events with its publish cursor —
-     and the per-check tallies ([bump]) are plain stores into a
-     per-domain slab stride whose base the caller resolves once per
-     slice, not per check.
+   - A *trigger* (failed check, Tx escalation, supervisor transition,
+     oracle anomaly, watchdog fire, injected kill, red-team chain) is a
+     capture policy over the shared rings: it snapshots the last
+     [bundle_events] events of every ring, the check tallies, the
+     caller's structured context (violating site, shard state, tenant
+     health) and the recorder's own accounting into a forensic bundle.
+     Bundles serialize to self-contained JSON replayable by
+     `mcfi forensics`.  Noisy triggers are capped per kind — the first
+     few bundles carry the story, the rest are counted as dropped —
+     while oracle anomalies and injected kills are never capped: the
+     harnesses' accounting demands exactly one bundle per event. *)
 
-   Rings follow the telemetry pool's single-writer protocol: plain
-   stores of the event words, one atomic store of the publish cursor,
-   and a torn-slot-discarding drain, so a snapshot taken while every
-   domain is emitting contains no torn events.
-
-   A *trigger* (failed check, Tx escalation, supervisor transition,
-   oracle anomaly, watchdog fire, injected kill) snapshots everything
-   into a forensic bundle: the per-domain event tails, the tallies, the
-   caller's structured context (violating site, shard state, tenant
-   health), and the recorder's own accounting.  Bundles serialize to
-   self-contained JSON replayable by `mcfi forensics`.  Noisy triggers
-   are capped per kind — the first few bundles carry the story, the
-   rest are counted as dropped — while oracle anomalies and injected
-   kills are never capped: the harnesses' accounting demands exactly
-   one bundle per event. *)
+module Json = Mcfi_util.Json
 
 (* ---- trigger taxonomy ---- *)
 
@@ -55,16 +48,6 @@ let trigger_code = function
   | Injected_kill -> 5
   | Redteam_chain -> 6
 
-let trigger_of_code = function
-  | 0 -> Failed_check
-  | 1 -> Tx_escalation
-  | 2 -> Supervisor_transition
-  | 3 -> Oracle_anomaly
-  | 4 -> Watchdog
-  | 5 -> Injected_kill
-  | 6 -> Redteam_chain
-  | n -> invalid_arg (Printf.sprintf "Flightrec.trigger_of_code %d" n)
-
 let trigger_name = function
   | Failed_check -> "failed-check"
   | Tx_escalation -> "tx-escalation"
@@ -73,16 +56,6 @@ let trigger_name = function
   | Watchdog -> "watchdog-fire"
   | Injected_kill -> "injected-kill"
   | Redteam_chain -> "redteam-chain"
-
-let trigger_of_name = function
-  | "failed-check" -> Some Failed_check
-  | "tx-escalation" -> Some Tx_escalation
-  | "supervisor-transition" -> Some Supervisor_transition
-  | "oracle-anomaly" -> Some Oracle_anomaly
-  | "watchdog-fire" -> Some Watchdog
-  | "injected-kill" -> Some Injected_kill
-  | "redteam-chain" -> Some Redteam_chain
-  | _ -> None
 
 let all_triggers =
   [
@@ -95,6 +68,9 @@ let all_triggers =
     Redteam_chain;
   ]
 
+let trigger_of_name s =
+  List.find_opt (fun tr -> trigger_name tr = s) all_triggers
+
 (* ---- the gate (padded like the telemetry gates) ---- *)
 
 let armed = Atomic.make true
@@ -103,163 +79,18 @@ let _pad_gate = Array.make 15 0
 let recording () = Atomic.get armed
 let set_recording b = Atomic.set armed b
 
-(* ---- per-domain black-box rings ---- *)
+(* ---- breadcrumbs ---- *)
 
-type ring = {
-  r_cap : int;
-  r_dom : int array;
-  r_kind : int array; (* kind code in bits 0-3, context word above *)
-  r_a : int array;
-  r_b : int array;
-  r_c : int array;
-  r_published : int Atomic.t;
-}
+let note ~x kind ~a ~b ~c =
+  if Atomic.get armed then Telemetry.note ~x kind ~a ~b ~c
 
-let ring_slots = 64
-let default_capacity = 128
-let capacity = Atomic.make default_capacity
-
-let set_ring_capacity n =
-  if n < 8 then invalid_arg "Flightrec.set_ring_capacity: capacity < 8";
-  Atomic.set capacity n
-
-let pool : ring option Atomic.t array =
-  Array.init ring_slots (fun _ -> Atomic.make None)
-
-let make_ring () =
-  let cap = Atomic.get capacity in
-  {
-    r_cap = cap;
-    r_dom = Array.make cap 0;
-    r_kind = Array.make cap 0;
-    r_a = Array.make cap 0;
-    r_b = Array.make cap 0;
-    r_c = Array.make cap 0;
-    r_published = Atomic.make 0;
-  }
-
-let ring_for slot =
-  match Atomic.get pool.(slot) with
-  | Some r when r.r_cap = Atomic.get capacity -> r
-  | _ ->
-    let r = make_ring () in
-    Atomic.set pool.(slot) (Some r);
-    r
-
-(* The breadcrumb path.  No global sequence word: the ring's own publish
-   cursor is the per-domain sequence, so concurrent noters never share a
-   cache line.  [kind] is a [Telemetry.Event] kind code; [ctx] a
-   [Telemetry.Event.make_ctx] context word. *)
-let note ~kind ~ctx ~a ~b ~c =
-  if Atomic.get armed then begin
-    let d = (Domain.self () :> int) in
-    let r = ring_for (d land (ring_slots - 1)) in
-    let p = Atomic.get r.r_published in
-    let i = p mod r.r_cap in
-    r.r_dom.(i) <- d;
-    r.r_kind.(i) <- (kind land 15) lor (ctx lsl 4);
-    r.r_a.(i) <- a;
-    r.r_b.(i) <- b;
-    r.r_c.(i) <- c;
-    Atomic.set r.r_published (p + 1)
-  end
-
-(* ---- per-check tallies ----
-
-   One padded stride per domain; the caller resolves its stride base
-   once per slice ([tally]) and then [bump] is a handful of plain array
-   stores per check — the whole reason the recorder can stay on at
-   ratio >= 0.95.  Colliding domains (ids equal mod 64) may undercount;
-   the diagnostics contract tolerates that, as with the telemetry
-   slab. *)
-
-let tally_domains = 64
-let tally_stride = 16
-let tslab = Array.make (tally_domains * tally_stride) 0
-let off_checks = 0
-let off_passes = 1
-let off_violations = 2
-let off_exhausted = 3
-let off_retries = 4
-
-type tally = int
-
-let tally () =
-  ((Domain.self () :> int) land (tally_domains - 1)) * tally_stride
-
-let bump base ~outcome ~retries =
-  Array.unsafe_set tslab (base + off_checks)
-    (Array.unsafe_get tslab (base + off_checks) + 1);
-  let o =
-    if outcome = 0 then off_passes
-    else if outcome = 1 then off_violations
-    else off_exhausted
-  in
-  Array.unsafe_set tslab (base + o) (Array.unsafe_get tslab (base + o) + 1);
-  if retries > 0 then
-    Array.unsafe_set tslab (base + off_retries)
-      (Array.unsafe_get tslab (base + off_retries) + retries)
-
-let tally_totals () =
-  let sum off =
-    let t = ref 0 in
-    for d = 0 to tally_domains - 1 do
-      t := !t + tslab.((d * tally_stride) + off)
-    done;
-    !t
-  in
-  (sum off_checks, sum off_passes, sum off_violations, sum off_exhausted,
-   sum off_retries)
-
-(* ---- drain (torn-slot-safe, as in the telemetry ring) ---- *)
-
-type event = {
-  ev_domain : int;
-  ev_seq : int; (* per-domain: the ring's publish ordinal *)
-  ev_kind : int;
-  ev_ctx : int;
-  ev_a : int;
-  ev_b : int;
-  ev_c : int;
-}
-
-let drain_ring r =
-  let p1 = Atomic.get r.r_published in
-  let lo = max 0 (p1 - r.r_cap) in
-  let acc = ref [] in
-  for idx = p1 - 1 downto lo do
-    let i = idx mod r.r_cap in
-    let kw = r.r_kind.(i) in
-    acc :=
-      {
-        ev_domain = r.r_dom.(i);
-        ev_seq = idx;
-        ev_kind = kw land 15;
-        ev_ctx = kw lsr 4;
-        ev_a = r.r_a.(i);
-        ev_b = r.r_b.(i);
-        ev_c = r.r_c.(i);
-      }
-      :: !acc
-  done;
-  let events = !acc in
-  (* discard whatever a writer may have been overwriting while we read:
-     the unpublished event [p2] occupies the slot of event [p2 - cap] *)
-  let p2 = Atomic.get r.r_published in
-  let safe_from = p2 - r.r_cap + 1 in
-  List.filteri (fun k _ -> lo + k >= safe_from) events
-
-let drain () =
-  Array.to_list pool
-  |> List.filter_map Atomic.get
-  |> List.concat_map drain_ring
-  |> List.sort (fun a b ->
-         compare (a.ev_domain, a.ev_seq) (b.ev_domain, b.ev_seq))
-
-let notes_emitted () =
-  Array.to_list pool
-  |> List.filter_map Atomic.get
-  |> List.fold_left (fun acc r -> acc + Atomic.get r.r_published) 0
+(* An occurrence both the trace and the recorder want (a watchdog fire,
+   a tenant transition) is written once: traced when telemetry is on —
+   its stamp orders it in the merged trace, and bundles read the same
+   ring — else noted. *)
+let event ~x kind ~a ~b ~c =
+  if Telemetry.enabled () then Telemetry.emit ~x kind ~a ~b ~c
+  else note ~x kind ~a ~b ~c
 
 (* ---- triggers and bundles ---- *)
 
@@ -269,10 +100,14 @@ type bundle = {
   bu_reason : string;
   bu_at_ns : int;
   bu_extra : (string * Json.t) list;
-  bu_events : event list;
-  bu_tallies : (int * int * int * int * int) list;
-      (* checks, passes, violations, exhausted, retries — totals *)
+  bu_events : Telemetry.Event.t list;
+  bu_tallies : Telemetry.check_counts;
 }
+
+(* Events per domain a bundle captures: enough tail to tell the story,
+   and bounded, so a snapshot costs the same whatever the ring
+   capacity. *)
+let bundle_events = 127
 
 (* Per-trigger caps: -1 = unlimited.  Oracle anomalies and injected
    kills must map 1:1 to bundles (the harness accounting checks it);
@@ -344,25 +179,21 @@ let ecn_name e =
   | Some n -> n
   | None | (exception _) -> Printf.sprintf "ecn-%d" e
 
-let event_json e =
+let event_json (e : Telemetry.Event.t) =
   let base =
     [
-      ("domain", Json.num e.ev_domain);
-      ("seq", Json.num e.ev_seq);
-      ( "kind",
-        Json.Str
-          (match Telemetry.Event.kind_of_code e.ev_kind with
-          | k -> Telemetry.Event.kind_name k
-          | exception _ -> Printf.sprintf "kind-%d" e.ev_kind) );
-      ("a", Json.num e.ev_a);
-      ("b", Json.num e.ev_b);
-      ("c", Json.num e.ev_c);
+      ("domain", Json.num e.domain);
+      ("seq", Json.num e.ord);
+      ("kind", Json.Str (Telemetry.Event.kind_name e.kind));
+      ("a", Json.num e.a);
+      ("b", Json.num e.b);
+      ("c", Json.num e.c);
     ]
   in
   let ctx =
-    let s = Telemetry.Event.ctx_shard e.ev_ctx in
-    let d = Telemetry.Event.ctx_dispatch e.ev_ctx in
-    let al = Telemetry.Event.ctx_alert e.ev_ctx in
+    let s = Telemetry.Event.ctx_shard e.x in
+    let d = Telemetry.Event.ctx_dispatch e.x in
+    let al = Telemetry.Event.ctx_alert e.x in
     (if s >= 0 then [ ("shard", Json.num s) ] else [])
     @ (if d <> 0 then
          [ ("dispatch", Json.Str (Telemetry.Event.dispatch_ctx_name d)) ]
@@ -375,11 +206,7 @@ let schema = "mcfi-forensics"
 let schema_version = 1
 
 let bundle_json b =
-  let checks, passes, violations, exhausted, retries =
-    match b.bu_tallies with
-    | [ t ] -> t
-    | _ -> (0, 0, 0, 0, 0)
-  in
+  let t = b.bu_tallies in
   Json.Obj
     [
       ("schema", Json.Str schema);
@@ -393,18 +220,18 @@ let bundle_json b =
       ( "tallies",
         Json.Obj
           [
-            ("checks", Json.num checks);
-            ("passes", Json.num passes);
-            ("violations", Json.num violations);
-            ("exhausted", Json.num exhausted);
-            ("retries", Json.num retries);
+            ("checks", Json.num t.cc_checks);
+            ("passes", Json.num t.cc_passes);
+            ("violations", Json.num t.cc_violations);
+            ("exhausted", Json.num t.cc_exhausted);
+            ("retries", Json.num t.cc_retries);
           ] );
       ( "counters",
         Json.Obj
           ([
              ("bundles", Json.num (emitted ()));
              ("dropped", Json.num (dropped ()));
-             ("notes", Json.num (notes_emitted ()));
+             ("notes", Json.num (Telemetry.events_emitted ()));
            ]
           @ List.map
               (fun tr ->
@@ -444,8 +271,8 @@ let record_trigger tr ~reason ?(extra = []) () =
           bu_reason = reason;
           bu_at_ns = Telemetry.now_ns ();
           bu_extra = extra;
-          bu_events = drain ();
-          bu_tallies = [ tally_totals () ];
+          bu_events = Telemetry.tail bundle_events;
+          bu_tallies = Telemetry.check_totals ();
         }
       in
       Mutex.lock lock;
@@ -464,13 +291,7 @@ let record_trigger tr ~reason ?(extra = []) () =
   end
 
 let reset () =
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | Some r -> Atomic.set r.r_published 0
-      | None -> ())
-    pool;
-  Array.fill tslab 0 (Array.length tslab) 0;
+  Telemetry.rewind ();
   Array.iter (fun r -> Atomic.set r 0) requests;
   Atomic.set bundle_ids 0;
   Atomic.set total_dropped 0;

@@ -1,12 +1,15 @@
-(** The flight recorder: an always-on per-domain black box, separate
-    from the sampled telemetry trace and gated independently of it, plus
-    forensic-bundle snapshots taken when something goes wrong.
+(** The flight recorder: an always-on black box, gated independently of
+    the sampled telemetry trace, plus forensic-bundle snapshots taken
+    when something goes wrong.
 
-    Breadcrumbs ({!note}) and per-check tallies ({!bump}) are cheap
-    enough to stay on in production (no global sequence word, plain
-    stores into per-domain strides); a {e trigger} snapshots the event
-    tails, tallies and caller-supplied context into a {!bundle}
-    serialized as self-contained JSON, replayable by
+    It keeps no event storage of its own.  Breadcrumbs ({!note}) go into
+    [Telemetry]'s per-domain rings with a plain read of the sequence
+    word, and harnesses tally checks into [Telemetry]'s slab
+    ([Telemetry.bump]) under {!recording}; both are cheap enough to stay
+    on in production.  A {e trigger} is a capture policy over those
+    rings: it snapshots the last {!bundle_events} events of every
+    domain, the check tallies and caller-supplied context into a
+    {!bundle} serialized as self-contained JSON, replayable by
     [mcfi forensics]. *)
 
 (** {1 Trigger taxonomy} *)
@@ -21,7 +24,6 @@ type trigger =
   | Redteam_chain  (** the attack synthesizer found an in-policy chain *)
 
 val trigger_code : trigger -> int
-val trigger_of_code : int -> trigger
 val trigger_name : trigger -> string
 val trigger_of_name : string -> trigger option
 val all_triggers : trigger list
@@ -34,47 +36,18 @@ val recording : unit -> bool
 
 val set_recording : bool -> unit
 
-val set_ring_capacity : int -> unit
-(** Events retained per domain ring (min 8, default 128).  Applies to
-    rings minted after the call. *)
+(** {1 Breadcrumbs} *)
 
-(** {1 Breadcrumbs and tallies} *)
+val note :
+  x:int -> Telemetry.Event.kind -> a:int -> b:int -> c:int -> unit
+(** When recording, {!Telemetry.note} one breadcrumb ([x] a
+    [Telemetry.Event.make_ctx] context word): no fetch-and-add, no
+    allocation. *)
 
-val note : kind:int -> ctx:int -> a:int -> b:int -> c:int -> unit
-(** Record one black-box event in the calling domain's ring: a
-    [Telemetry.Event] kind code plus a [Telemetry.Event.make_ctx]
-    context word.  One gate load, one cursor read, five plain stores,
-    one publish — no global sequence, no allocation. *)
-
-type tally
-(** A per-domain tally handle: resolve once per slice with {!tally},
-    then {!bump} is plain array stores per check. *)
-
-val tally : unit -> tally
-val bump : tally -> outcome:int -> retries:int -> unit
-(** [outcome]: 0 = pass, 1 = violation, else retries-exhausted. *)
-
-val tally_totals : unit -> int * int * int * int * int
-(** [(checks, passes, violations, exhausted, retries)] over all
-    domains. *)
-
-(** {1 Events} *)
-
-type event = {
-  ev_domain : int;
-  ev_seq : int;  (** per-domain ordinal (the ring's publish index) *)
-  ev_kind : int;  (** [Telemetry.Event] kind code *)
-  ev_ctx : int;  (** [Telemetry.Event] context word *)
-  ev_a : int;
-  ev_b : int;
-  ev_c : int;
-}
-
-val drain : unit -> event list
-(** All rings' retained events, (domain, seq)-ordered.  Safe under
-    concurrent writers: possibly-torn slots are discarded. *)
-
-val notes_emitted : unit -> int
+val event :
+  x:int -> Telemetry.Event.kind -> a:int -> b:int -> c:int -> unit
+(** One ring write for an occurrence both the trace and the recorder
+    want: {!Telemetry.emit} when telemetry is enabled, else {!note}. *)
 
 (** {1 Triggers and bundles} *)
 
@@ -83,10 +56,15 @@ type bundle = {
   bu_trigger : trigger;
   bu_reason : string;
   bu_at_ns : int;
-  bu_extra : (string * Json.t) list;
-  bu_events : event list;
-  bu_tallies : (int * int * int * int * int) list;
+  bu_extra : (string * Mcfi_util.Json.t) list;
+  bu_events : Telemetry.Event.t list;
+      (** (domain, ordinal)-ordered; serialized with the ordinal as
+          [seq] *)
+  bu_tallies : Telemetry.check_counts;
 }
+
+val bundle_events : int
+(** Events per domain a bundle captures (127). *)
 
 val set_cap : trigger -> int -> unit
 (** Cap bundles per trigger kind ([-1] = unlimited).  Defaults: the
@@ -105,7 +83,7 @@ val trigger_armed : trigger -> bool
 val record_trigger :
   trigger ->
   reason:string ->
-  ?extra:(string * Json.t) list ->
+  ?extra:(string * Mcfi_util.Json.t) list ->
   unit ->
   bundle option
 (** Snapshot a forensic bundle.  [None] when recording is off or the
@@ -124,7 +102,7 @@ val set_ecn_namer : (int -> string option) -> unit
 val ecn_name : int -> string
 (** The installed namer's answer, or the synthetic ["ecn-<n>"]. *)
 
-val bundle_json : bundle -> Json.t
+val bundle_json : bundle -> Mcfi_util.Json.t
 val schema : string
 val schema_version : int
 
@@ -147,8 +125,9 @@ val dir : unit -> string option
 val files_written : unit -> string list
 
 val reset : unit -> unit
-(** Rewind rings, zero tallies and counters, drop kept bundles and the
-    written-files log.  Caps and the output directory persist; see
+(** Rewind the rings and zero the tallies ({!Telemetry.rewind}), zero
+    the recorder's counters, drop kept bundles and the written-files
+    log.  Caps and the output directory persist; see
     {!reset_caps}. *)
 
 val reset_caps : unit -> unit

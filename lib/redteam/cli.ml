@@ -19,7 +19,7 @@ module Oracle = Fuzz.Oracle
 module Spec = Fuzz.Spec
 module Corpus = Fuzz.Corpus
 module Shrink = Fuzz.Shrink
-module Json = Obs.Json
+module Json = Mcfi_util.Json
 module Flightrec = Obs.Flightrec
 
 type mode =

@@ -12,7 +12,7 @@ module Process = Mcfi_runtime.Process
 module Tables = Idtables.Tables
 module Id = Idtables.Id
 module Cfggen = Cfg.Cfggen
-module Json = Obs.Json
+module Json = Mcfi_util.Json
 module IS = Set.Make (Int)
 
 type kind = Kreturn | Kicall | Kitail | Kjumptable | Klongjmp | Kplt

@@ -59,4 +59,4 @@ val attack_edges : t -> int
 (** The attack-surface table [mcfi stats --redteam] renders. *)
 val pp_table : Format.formatter -> t -> unit
 
-val to_json : t -> Obs.Json.t
+val to_json : t -> Mcfi_util.Json.t

@@ -33,7 +33,7 @@ module Tx = Idtables.Tx
 module Disasm = Vmisa.Disasm
 module Instr = Vmisa.Instr
 module Abi = Vmisa.Abi
-module Json = Obs.Json
+module Json = Mcfi_util.Json
 module Spec = Fuzz.Spec
 module IS = Set.Make (Int)
 

@@ -53,7 +53,7 @@ type chain = {
   c_exit : string;  (** confirmation run's exit reason ("" if no plan) *)
 }
 
-val chain_json : chain -> Obs.Json.t
+val chain_json : chain -> Mcfi_util.Json.t
 
 type result = {
   sr_reach : Reach.t;

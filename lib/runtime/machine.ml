@@ -82,7 +82,6 @@ type t = {
      single-domain. *)
   profile : int array;
   branch_counts : (int, int) Hashtbl.t;
-  mutable last_class : int; (* previous retired class, for the pair profile *)
   (* committed-transfer hook: called with (branch pc, target) for every
      executed Call_r/Jmp_r/Ret, by both engines — the differential
      dispatch oracle records traces through it *)
@@ -138,8 +137,6 @@ let instr_class = function
   | Instr.Tary_load _ | Instr.Bary_load _ -> 10
   | Instr.Nop | Instr.Halt -> 11
 
-(* the VM's instruction classes double as the fusion-profile classes *)
-let () = Array.iteri (fun k n -> Telemetry.Fusion.set_name k n) class_names
 
 let create ?tables ?(dispatch = Byte) ?(seed = 1L) ~code_base ~code_capacity
     ~data_words () =
@@ -168,7 +165,6 @@ let create ?tables ?(dispatch = Byte) ?(seed = 1L) ~code_base ~code_capacity
     attacker = None;
     profile = Array.make n_classes 0;
     branch_counts = Hashtbl.create 64;
-    last_class = -1;
     on_transfer = None;
     dispatch;
     th_op = [||];
@@ -486,9 +482,6 @@ let current_instr m =
 let profile_count m i =
   let k = instr_class i in
   m.profile.(k) <- m.profile.(k) + 1;
-  (* consecutive-class pairs feed the fusion-candidate profile *)
-  if m.last_class >= 0 then Telemetry.Fusion.record ~prev:m.last_class ~cur:k;
-  m.last_class <- k;
   match i with
   | Instr.Bary_load (_, idx) ->
     let cur = try Hashtbl.find m.branch_counts idx with Not_found -> 0 in
@@ -546,8 +539,8 @@ let run_byte m fuel =
      14 Cmp_lo    15 Test_ri    16 Jmp        17 Jcc
      18 Call     19 Call_r     20 Jmp_r      21 Ret
      22 Syscall  23 Tary_load  24 Bary_load
-   Fused superinstructions (chosen from the telemetry pair profile —
-   table+table/table+cmp/cmp+jump dominate instrumented runs):
+   Fused superinstructions (table+table/table+cmp/cmp+jump pairs
+   dominate instrumented runs):
      25 check+Jmp_r   26 check+Call_r   27 Pop+check+Jmp_r
      28 Cmp_rr+Jcc    29 Cmp_ri+Jcc     30 masked-store quad
 
@@ -704,10 +697,9 @@ let install_base m off i size =
   | Instr.Tary_load (rd, rs) -> set 23 rd rs 0
   | Instr.Bary_load (rd, idx) -> set 24 rd 0 idx
 
-(* Fusions beyond the check sequence, justified by the pair profile:
-   cmp+jcc (the VM's universal compare-and-branch idiom) and the
-   sandbox masked-store quad the rewriter emits before every
-   instrumented store. *)
+(* Fusions beyond the check sequence: cmp+jcc (the VM's universal
+   compare-and-branch idiom) and the sandbox masked-store quad the
+   rewriter emits before every instrumented store. *)
 let try_fuse m off i size =
   match i with
   | Instr.Bary_load _ -> fuse_check_at m off ~pre_size:0 ~rpop:(-1)

@@ -1,4 +1,5 @@
 module Prng = Mcfi_util.Prng
+module Json = Mcfi_util.Json
 open Idtables
 
 type scenario = {
@@ -265,9 +266,9 @@ let record_anomaly y ~seed kind detail =
          ~reason:(Printf.sprintf "%s (replay with seed %Ld)" kind seed)
          ~extra:
            [
-             ("kind", Obs.Json.Str kind);
-             ("detail", Obs.Json.Str detail);
-             ("seed", Obs.Json.Str (Int64.to_string seed));
+             ("kind", Json.Str kind);
+             ("detail", Json.Str detail);
+             ("seed", Json.Str (Int64.to_string seed));
            ]
          ())
 
@@ -301,8 +302,12 @@ let torture_checker ~stop ~shs ~shard ~h ~pool ~prng ~sc () =
   in
   let y = new_tally () in
   (* black-box tally handle: resolved once, bumped per check with plain
-     stores — the flight recorder's always-on accounting *)
-  let fr = Obs.Flightrec.tally () in
+     stores — the flight recorder's always-on accounting; [retries]
+     counts the current check's retries for it (the hook is built once,
+     not per check) *)
+  let fr = Telemetry.tally () in
+  let retries = ref 0 in
+  let on_retry = Some (fun () -> incr retries) in
   while not (Atomic.get stop) do
     (* branch boundary: provably outside any check transaction *)
     Tables.reader_quiescent rd;
@@ -318,24 +323,26 @@ let torture_checker ~stop ~shs ~shard ~h ~pool ~prng ~sc () =
         (i, torture_base + (4 * i))
     in
     let c0 = Atomic.get h.h_completed in
+    retries := 0;
     let out =
       match sites with
       | Some st ->
-        Shards.check_hoisted ~watchdog:wd ~jitter shs ~shard st.(slot)
-          ~bary_index:slot ~target
+        Shards.check_hoisted ~watchdog:wd ~jitter ?on_retry shs ~shard
+          st.(slot) ~bary_index:slot ~target
       | None ->
-        Shards.check ~watchdog:wd ~jitter shs ~shard ~bary_index:slot ~target
+        Shards.check ~watchdog:wd ~jitter ?on_retry shs ~shard
+          ~bary_index:slot ~target
     in
     let b1 = Atomic.get h.h_began in
     y.y_checks <- y.y_checks + 1;
     if Obs.Flightrec.recording () then
-      Obs.Flightrec.bump fr
+      Telemetry.bump fr
         ~outcome:
           (match out with
           | Tx.Pass -> 0
           | Tx.Violation -> 1
           | Tx.Retries_exhausted -> 2)
-        ~retries:0;
+        ~retries:!retries;
     let detail kind_s =
       Printf.sprintf
         "%s: shard=%d slot=%d tidx=%d window=[%d,%d] versions=[%d,%d]" kind_s
@@ -449,8 +456,8 @@ let torture_updater ~shs ~pool ~prng ~sc ~n ~uid () =
                   uid j)
              ~extra:
                [
-                 ("updater", Obs.Json.num uid);
-                 ("update", Obs.Json.num j);
+                 ("updater", Json.num uid);
+                 ("update", Json.num j);
                  ("shards", Shards.states_json shs);
                ]
              ())
@@ -728,8 +735,8 @@ let run_storm sc prng =
                     i)
                ~extra:
                  [
-                   ("module", Obs.Json.Str name);
-                   ("load", Obs.Json.num i);
+                   ("module", Json.Str name);
+                   ("load", Json.num i);
                    ("tables", Tables.state_json t);
                  ]
                ())

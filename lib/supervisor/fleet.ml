@@ -1,4 +1,5 @@
 module Prng = Mcfi_util.Prng
+module Json = Mcfi_util.Json
 module Tables = Idtables.Tables
 module Tx = Idtables.Tx
 module Stm = Idtables.Stm
@@ -274,9 +275,9 @@ let record_anomaly y ~seed an_kind an_detail =
          ~reason:(Printf.sprintf "%s (replay with seed %Ld)" an_kind seed)
          ~extra:
            [
-             ("kind", Obs.Json.Str an_kind);
-             ("detail", Obs.Json.Str an_detail);
-             ("seed", Obs.Json.Str (Int64.to_string seed));
+             ("kind", Json.Str an_kind);
+             ("detail", Json.Str an_detail);
+             ("seed", Json.Str (Int64.to_string seed));
            ]
          ())
 
@@ -322,9 +323,9 @@ let serve_install ctx y tn ci =
                 tn.tn_id ci tn.tn_shard)
            ~extra:
              [
-               ("tenant", Obs.Json.num tn.tn_id);
-               ("cfg", Obs.Json.num ci);
-               ("shard", Obs.Json.num tn.tn_shard);
+               ("tenant", Json.num tn.tn_id);
+               ("cfg", Json.num ci);
+               ("shard", Json.num tn.tn_shard);
                ( "shard_state",
                  Tables.state_json (Shards.tables ctx.shs tn.tn_shard) );
              ]
@@ -344,10 +345,15 @@ let check_slice ctx y tn =
       Health.escalation_of (Health.state_of_code (Atomic.get tn.tn_escalation))
     in
     let wd = { Tx.wd_deadline = 256; wd_on_expire = esc } in
-    let on_retry () = Atomic.incr tn.tn_retries in
+    (* [retries] counts the current check's retries for its tally *)
+    let retries = ref 0 in
+    let on_retry () =
+      Atomic.incr tn.tn_retries;
+      incr retries
+    in
     (* black-box tally handle: resolved once per slice, bumped per check
        with plain stores — the flight recorder's always-on accounting *)
-    let fr = Obs.Flightrec.tally () in
+    let fr = Telemetry.tally () in
     for _ = 1 to sc.fc_checks_per_slice do
       let slot = Prng.int tn.tn_prng sc.fc_slots in
       let kind = Prng.int tn.tn_prng 10 in
@@ -359,6 +365,7 @@ let check_slice ctx y tn =
           (i, fleet_base + (4 * i))
       in
       let c0 = Stress.history_completed h in
+      retries := 0;
       let out =
         Shards.check ~watchdog:wd ~jitter:tn.tn_prng ~on_retry ctx.shs
           ~shard:tn.tn_shard ~bary_index:slot ~target
@@ -366,13 +373,13 @@ let check_slice ctx y tn =
       let b1 = Stress.history_began h in
       Atomic.incr tn.tn_checks;
       if Obs.Flightrec.recording () then
-        Obs.Flightrec.bump fr
+        Telemetry.bump fr
           ~outcome:
             (match out with
             | Tx.Pass -> 0
             | Tx.Violation -> 1
             | Tx.Retries_exhausted -> 2)
-          ~retries:0;
+          ~retries:!retries;
       let detail kind_s =
         Printf.sprintf "tenant %d (shard %d): %s: slot=%d tidx=%d window=[%d,%d]"
           tn.tn_id tn.tn_shard kind_s slot tidx
@@ -448,8 +455,8 @@ let slice ctx y tn =
                     tn.tn_id)
                ~extra:
                  [
-                   ("tenant", Obs.Json.num tn.tn_id);
-                   ("shard", Obs.Json.num tn.tn_shard);
+                   ("tenant", Json.num tn.tn_id);
+                   ("shard", Json.num tn.tn_shard);
                  ]
                ())
       end
@@ -578,39 +585,31 @@ let supervise_tenant ctx recoveries tn ~now ~signals =
   if new_st <> old_st then begin
     Atomic.set tn.tn_escalation (Health.state_code new_st);
     let xw = Telemetry.Event.make_ctx ~shard:tn.tn_shard () in
-    Telemetry.emit Telemetry.Event.Tenant_state ~a:tn.tn_id
+    Obs.Flightrec.event Telemetry.Event.Tenant_state ~a:tn.tn_id
       ~b:(Health.state_code new_st) ~c:(Health.state_code old_st) ~x:xw;
-    if Obs.Flightrec.recording () then begin
-      Obs.Flightrec.note
-        ~kind:Telemetry.Event.(kind_code Tenant_state)
-        ~ctx:xw ~a:tn.tn_id
-        ~b:(Health.state_code new_st)
-        ~c:(Health.state_code old_st);
-      (* a tenant sliding into Degraded or Quarantined is forensic
-         material: snapshot before the teardown below redoes the journal *)
-      match new_st with
-      | (Health.Degraded | Health.Quarantined)
-        when Obs.Flightrec.trigger_armed Obs.Flightrec.Supervisor_transition
-        ->
-        ignore
-          (Obs.Flightrec.record_trigger Obs.Flightrec.Supervisor_transition
-             ~reason:
-               (Printf.sprintf "tenant %d (shard %d): %s -> %s" tn.tn_id
-                  tn.tn_shard
-                  (Health.state_name old_st)
-                  (Health.state_name new_st))
-             ~extra:
-               [
-                 ("tenant", Obs.Json.num tn.tn_id);
-                 ("shard", Obs.Json.num tn.tn_shard);
-                 ("from", Obs.Json.Str (Health.state_name old_st));
-                 ("to", Obs.Json.Str (Health.state_name new_st));
-                 ( "shard_state",
-                   Tables.state_json (Shards.tables ctx.shs tn.tn_shard) );
-               ]
-             ())
-      | _ -> ()
-    end;
+    (* a tenant sliding into Degraded or Quarantined is forensic
+       material: snapshot before the teardown below redoes the journal *)
+    (match new_st with
+    | (Health.Degraded | Health.Quarantined)
+      when Obs.Flightrec.trigger_armed Obs.Flightrec.Supervisor_transition ->
+      ignore
+        (Obs.Flightrec.record_trigger Obs.Flightrec.Supervisor_transition
+           ~reason:
+             (Printf.sprintf "tenant %d (shard %d): %s -> %s" tn.tn_id
+                tn.tn_shard
+                (Health.state_name old_st)
+                (Health.state_name new_st))
+           ~extra:
+             [
+               ("tenant", Json.num tn.tn_id);
+               ("shard", Json.num tn.tn_shard);
+               ("from", Json.Str (Health.state_name old_st));
+               ("to", Json.Str (Health.state_name new_st));
+               ( "shard_state",
+                 Tables.state_json (Shards.tables ctx.shs tn.tn_shard) );
+             ]
+           ())
+    | _ -> ());
     (match new_st with
     | Health.Restarting ->
       tn.tn_kills <- tn.tn_kills + 1;
@@ -656,14 +655,14 @@ let quarantine_shard ctx sh ?alert ~reason () =
          ~reason
          ~extra:
            ([
-              ("shard", Obs.Json.num sh.sh_id);
-              ("crashes", Obs.Json.num sh.sh_crashes);
+              ("shard", Json.num sh.sh_id);
+              ("crashes", Json.num sh.sh_crashes);
               ( "shard_state",
                 Tables.state_json (Shards.tables ctx.shs sh.sh_id) );
             ]
            @
            match alert with
-           | Some id -> [ ("alert", Obs.Json.num id) ]
+           | Some id -> [ ("alert", Json.num id) ]
            | None -> [])
          ());
   Array.iter

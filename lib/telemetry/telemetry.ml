@@ -1,14 +1,23 @@
 (* Domain-safe observability for the MCFI runtime.
 
-   Three pieces, all process-global:
+   Four pieces, all process-global:
 
-   - per-domain trace rings: fixed-size event records (five ints) written
-     by the owning domain with plain array stores and published with one
-     atomic store of the ring's write cursor.  A global atomic sequence
-     counter stamps every event, so draining all rings and sorting by
-     stamp yields one merged, causally ordered trace (OCaml atomics are
+   - per-domain event rings: fixed-size event records written by the
+     owning domain with plain array stores and published with one atomic
+     store of the ring's write cursor.  Two writers share them.  [emit]
+     (the sampled trace) stamps each event with a fetch-and-add on a
+     global sequence counter, so draining all rings and sorting by stamp
+     yields one merged, causally ordered trace (OCaml atomics are
      sequentially consistent: if event A's effects were visible to the
-     domain that emitted B, then seq(A) < seq(B)).
+     domain that emitted B, then seq(A) < seq(B)).  [note] (the flight
+     recorder's breadcrumbs) only reads the counter: no shared
+     read-modify-write on the always-on path.  A forensic bundle is a
+     capture over the same rings ([tail]), ordered by each ring's
+     publish ordinal.
+
+   - a per-domain tally slab: exact check-outcome counts (from
+     [check_end] in detail mode, or from a harness's [bump]) plus the
+     fast-path tallies, plain stores into per-domain strides.
 
    - a metrics registry: named monotonic counters and log2-bucketed
      histograms, all [Atomic] cells, safe to bump from any domain.
@@ -16,9 +25,11 @@
    - exporters: a Prometheus text exposition, a JSON document, and a
      human-readable stats report.
 
-   Everything is gated on [enabled]: a disabled hook is one atomic load
-   and no allocation, so the hooks can live permanently inside the
-   check/update transactions without a measurable tax. *)
+   The trace hooks are gated on [enabled]: a disabled hook is one atomic
+   load and no allocation, so the hooks can live permanently inside the
+   check/update transactions without a measurable tax.  [note] and
+   [bump] are ungated here; their caller gates them on the flight
+   recorder's own switch. *)
 
 (* ---- the gates ---- *)
 
@@ -110,23 +121,17 @@ module Event = struct
     | Tenant_restart -> 13
     | Install_shed -> 14
 
-  let kind_of_code = function
-    | 0 -> Check_pass
-    | 1 -> Check_violation
-    | 2 -> Check_exhausted
-    | 3 -> Check_retry
-    | 4 -> Watchdog_fire
-    | 5 -> Update_begin
-    | 6 -> Update_commit
-    | 7 -> Update_recover
-    | 8 -> Update_rollback
-    | 9 -> Span_begin
-    | 10 -> Span_end
-    | 11 -> Fault_injected
-    | 12 -> Tenant_state
-    | 13 -> Tenant_restart
-    | 14 -> Install_shed
-    | n -> invalid_arg (Printf.sprintf "Telemetry.Event.kind_of_code %d" n)
+  (* indexed by [kind_code] *)
+  let kinds =
+    [| Check_pass; Check_violation; Check_exhausted; Check_retry;
+       Watchdog_fire; Update_begin; Update_commit; Update_recover;
+       Update_rollback; Span_begin; Span_end; Fault_injected; Tenant_state;
+       Tenant_restart; Install_shed |]
+
+  let kind_of_code n =
+    if n < 0 || n >= Array.length kinds then
+      invalid_arg (Printf.sprintf "Telemetry.Event.kind_of_code %d" n);
+    kinds.(n)
 
   let kind_name = function
     | Check_pass -> "check-pass"
@@ -207,6 +212,7 @@ module Event = struct
 
   type t = {
     seq : int;
+    ord : int; (* the ring's publish ordinal *)
     domain : int;
     kind : kind;
     a : int;
@@ -251,25 +257,32 @@ module Event = struct
     pp_ctx ppf e.x
 end
 
-(* ---- per-domain trace rings ---- *)
+(* ---- per-domain event rings ---- *)
 
 (* Single-writer ring.  The writer stores the six event words with plain
    writes and then publishes with an atomic store of [published] (a
    release point: a drainer that reads [published] >= n sees event n-1's
    words).  The only racy slot is the one a writer may currently be
-   overwriting; the drain protocol discards it (see [drain_ring]). *)
+   overwriting; the drain protocol discards it (see [drain_ring]).
+   Events are laid out record-major, [event_words] apart, so a write
+   dirties one or two cache lines rather than one per word: the
+   always-on breadcrumb path cycles through the whole ring. *)
 type ring = {
   r_cap : int;
-  r_dom : int array;
-  r_seq : int array;
-  r_kind : int array;
-  r_a : int array;
-  r_b : int array;
-  r_c : int array;
+  r_words : int array;
+      (* event i at [i * event_words]: domain, seq, kind code in bits 0-3
+         with the context word above, a, b, c *)
   r_published : int Atomic.t; (* events ever written to this ring *)
 }
 
-let default_capacity = 4096
+let event_words = 8
+
+(* The always-on breadcrumb path cycles through the whole ring of every
+   checker domain that sees violations, and each freshly spawned domain
+   mints one: a larger default measurably slowed recorder-on check
+   throughput (the [obs] bench section), a smaller one would let an
+   install storm overwrite the begin of a span before its commit. *)
+let default_capacity = 1024
 let capacity = Atomic.make default_capacity
 
 let set_ring_capacity n =
@@ -300,12 +313,7 @@ let make_ring () =
   let cap = Atomic.get capacity in
   {
     r_cap = cap;
-    r_dom = Array.make cap 0;
-    r_seq = Array.make cap 0;
-    r_kind = Array.make cap 0;
-    r_a = Array.make cap 0;
-    r_b = Array.make cap 0;
-    r_c = Array.make cap 0;
+    r_words = Array.make (cap * event_words) 0;
     r_published = Atomic.make 0;
   }
 
@@ -316,6 +324,26 @@ let ring_for slot =
     let r = make_ring () in
     Atomic.set pool.(slot) (Some r);
     r
+
+(* Append one event to the calling domain's ring. *)
+let write ~seq ~x kind ~a ~b ~c =
+  let d = (Domain.self () :> int) in
+  let r = ring_for (d land (ring_slots - 1)) in
+  let p = Atomic.get r.r_published in
+  let w = r.r_words and j = p mod r.r_cap * event_words in
+  w.(j) <- d;
+  w.(j + 1) <- seq;
+  w.(j + 2) <- Event.kind_code kind lor (x lsl 4);
+  w.(j + 3) <- a;
+  w.(j + 4) <- b;
+  w.(j + 5) <- c;
+  Atomic.set r.r_published (p + 1)
+
+(* The breadcrumb path: a plain read of the sequence counter, so
+   concurrent noters share no written cache line; the ring's publish
+   ordinal is what orders a domain's breadcrumbs. *)
+let note ~x kind ~a ~b ~c =
+  write ~seq:(Atomic.get global_seq) ~x kind ~a ~b ~c
 
 (* ---- hot-path per-domain scalar tallies ----
 
@@ -329,7 +357,9 @@ let ring_for slot =
    wrap and share a stride: colliding increments are plain stores and
    may undercount, which a statistics path tolerates (trace events are
    unaffected).  Dead domains' tallies persist until [reset], exactly
-   like their rings. *)
+   like their rings.  The exact check-outcome counts have two writers:
+   [check_end] in detail mode, and otherwise a harness that resolves its
+   stride once per slice ([tally]) and [bump]s it per check. *)
 
 let slab_domains = 128
 let slab_stride = 64 (* 512 B per domain: strides never share a line *)
@@ -354,15 +384,37 @@ let slab_total off =
   done;
   !t
 
-let reset () =
+let tally_outcome b ~outcome ~retries =
+  slab.(b + off_checks) <- slab.(b + off_checks) + 1;
+  let o =
+    if outcome = 0 then off_passes
+    else if outcome = 1 then off_violations
+    else off_exhausted
+  in
+  slab.(b + o) <- slab.(b + o) + 1;
+  if retries > 0 then slab.(b + off_retries) <- slab.(b + off_retries) + retries
+
+type tally = int
+
+let tally = slab_base
+
+(* In detail mode [check_end] already counts every check it closes. *)
+let bump b ~outcome ~retries =
+  if not (Atomic.get enabled_flag && Atomic.get detail_flag) then
+    tally_outcome b ~outcome ~retries
+
+let rewind () =
   Array.iter
     (fun slot ->
       match Atomic.get slot with
       | Some r -> Atomic.set r.r_published 0
       | None -> ())
     pool;
+  Array.fill slab 0 (Array.length slab) 0
+
+let reset () =
+  rewind ();
   Atomic.set global_seq 0;
-  Array.fill slab 0 (Array.length slab) 0;
   if Atomic.get enabled_flag then Atomic.set sample_request true
 
 (* ---- emit (the hot path) ---- *)
@@ -378,19 +430,8 @@ let set_dispatch_hint d = Atomic.set dispatch_hint ((d land 3) lsl 9)
 
 let emit ?(x = 0) kind ~a ~b ~c =
   if Atomic.get enabled_flag then begin
-    let d = (Domain.self () :> int) in
-    let r = ring_for (d land (ring_slots - 1)) in
-    let seq = Atomic.fetch_and_add global_seq 1 in
-    let p = Atomic.get r.r_published in
-    let i = p mod r.r_cap in
     let x = if x land (3 lsl 9) = 0 then x lor Atomic.get dispatch_hint else x in
-    r.r_dom.(i) <- d;
-    r.r_seq.(i) <- seq;
-    r.r_kind.(i) <- Event.kind_code kind lor (x lsl 4);
-    r.r_a.(i) <- a;
-    r.r_b.(i) <- b;
-    r.r_c.(i) <- c;
-    Atomic.set r.r_published (p + 1);
+    write ~seq:(Atomic.fetch_and_add global_seq 1) ~x kind ~a ~b ~c;
     (* every structural event arms the default-mode check sampler: the
        moments around installs, fires and faults are exactly the checks
        worth tracing.  Check events themselves must not re-arm or a
@@ -464,21 +505,25 @@ let ctx_active ctx = ctx land 6 <> 0
 
 (* ---- drain ---- *)
 
-let drain_ring r =
+(* The last [n] events of one ring (at most its capacity); only that
+   tail is read. *)
+let drain_ring n r =
   let p1 = Atomic.get r.r_published in
-  let lo = max 0 (p1 - r.r_cap) in
+  let lo = max 0 (p1 - min n r.r_cap) in
   let acc = ref [] in
+  let w = r.r_words in
   for idx = p1 - 1 downto lo do
-    let i = idx mod r.r_cap in
-    let kw = r.r_kind.(i) in
+    let j = idx mod r.r_cap * event_words in
+    let kw = w.(j + 2) in
     acc :=
       {
-        Event.seq = r.r_seq.(i);
-        domain = r.r_dom.(i);
+        Event.seq = w.(j + 1);
+        ord = idx;
+        domain = w.(j);
         kind = Event.kind_of_code (kw land 15);
-        a = r.r_a.(i);
-        b = r.r_b.(i);
-        c = r.r_c.(i);
+        a = w.(j + 3);
+        b = w.(j + 4);
+        c = w.(j + 5);
         x = kw lsr 4;
       }
       :: !acc
@@ -495,9 +540,16 @@ let drain_ring r =
 let live_rings () =
   Array.to_list pool |> List.filter_map Atomic.get
 
+(* Stable: a note shares its stamp with the next emitted event, and its
+   ring's order must survive the merge. *)
 let drain () =
-  let events = List.concat_map drain_ring (live_rings ()) in
-  List.sort (fun a b -> compare a.Event.seq b.Event.seq) events
+  let events = List.concat_map (drain_ring max_int) (live_rings ()) in
+  List.stable_sort (fun a b -> compare a.Event.seq b.Event.seq) events
+
+let tail n =
+  List.concat_map (drain_ring n) (live_rings ())
+  |> List.sort (fun a b ->
+         compare (a.Event.domain, a.Event.ord) (b.Event.domain, b.Event.ord))
 
 let events_emitted () =
   List.fold_left
@@ -672,9 +724,6 @@ let reset () =
   reset ();
   Metrics.reset ()
 
-(* (Fusion tallies are reset separately — [Fusion.reset] — because a
-   profiling run typically spans several harness resets.) *)
-
 (* The check-outcome histograms live here rather than in the transaction
    layer because [check_end] feeds them: the sampled exit point already
    knows the retries and holds the entry stamp, so routing the values
@@ -683,18 +732,7 @@ let m_check_latency = Metrics.histogram "mcfi_check_latency_ns"
 let m_check_retries = Metrics.histogram "mcfi_check_retries"
 
 let check_end ?(x = 0) ctx ~outcome ~slot ~target ~retries =
-  if ctx land 4 <> 0 then begin
-    let b = ctx lsr 3 in
-    slab.(b + off_checks) <- slab.(b + off_checks) + 1;
-    let o =
-      if outcome = 0 then off_passes
-      else if outcome = 1 then off_violations
-      else off_exhausted
-    in
-    slab.(b + o) <- slab.(b + o) + 1;
-    if retries > 0 then
-      slab.(b + off_retries) <- slab.(b + off_retries) + retries
-  end;
+  if ctx land 4 <> 0 then tally_outcome (ctx lsr 3) ~outcome ~retries;
   if ctx land 2 <> 0 then begin
     let b = ctx lsr 3 in
     let kind =
@@ -706,62 +744,6 @@ let check_end ?(x = 0) ctx ~outcome ~slot ~target ~retries =
     Metrics.observe m_check_retries retries;
     Metrics.observe m_check_latency (now_ns () - slab.(b + off_t0))
   end
-
-(* ---- fusion-candidate pair profile ----
-
-   Which instruction-class pairs retire back to back, fed by the VM's
-   profiling path while telemetry is enabled.  This is the evidence the
-   threaded-dispatch superinstruction set is chosen from: the top pairs
-   here (cmp+jump, table+table, table+cmp, the masked-store prefix
-   pairs) are exactly the sequences fused into single handlers.  The
-   tally matrix uses plain stores — colliding increments from several
-   machines may undercount, which a profile tolerates (same contract as
-   the tally slab). *)
-
-module Fusion = struct
-  let classes = 16
-  let pairs = Array.make (classes * classes) 0
-  let names = Array.make classes ""
-
-  let set_name k n = if k >= 0 && k < classes then names.(k) <- n
-
-  let name k =
-    if k >= 0 && k < classes && names.(k) <> "" then names.(k)
-    else Printf.sprintf "class-%d" k
-
-  let record ~prev ~cur =
-    if prev >= 0 && prev < classes && cur >= 0 && cur < classes then begin
-      let i = (prev * classes) + cur in
-      pairs.(i) <- pairs.(i) + 1
-    end
-
-  let reset () = Array.fill pairs 0 (Array.length pairs) 0
-
-  (* all non-zero pairs, hottest first *)
-  let top n =
-    let acc = ref [] in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then acc := (i / classes, i mod classes, c) :: !acc)
-      pairs;
-    let sorted =
-      List.sort (fun (_, _, a) (_, _, b) -> compare b a) !acc
-    in
-    List.filteri (fun i _ -> i < n) sorted
-
-  let export ?(limit = 8) () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "{\"fusion_candidates\": [";
-    List.iteri
-      (fun i (p, c, n) ->
-        if i > 0 then Buffer.add_string b ", ";
-        Printf.ksprintf (Buffer.add_string b)
-          "{\"prev\": \"%s\", \"next\": \"%s\", \"count\": %d}" (name p)
-          (name c) n)
-      (top limit);
-    Buffer.add_string b "]}";
-    Buffer.contents b
-end
 
 (* ---- exporters ---- *)
 
@@ -780,34 +762,37 @@ module Export = struct
       (fun h -> Atomic.get h.Metrics.h_count > 0)
       (Metrics.sorted_histograms ())
 
+  (* Registry counters, then the slab's totals as counters (a slab group
+     that never fired is omitted too). *)
+  let all_counters () =
+    let fc, fr = fast_totals () in
+    let ct = check_totals () in
+    List.map
+      (fun c -> (c.Metrics.c_name, Metrics.counter_value c))
+      (live_counters ())
+    @ (if fc > 0 then
+         [
+           ("mcfi_fast_checks_total", fc);
+           ("mcfi_fast_check_retries_total", fr);
+         ]
+       else [])
+    @
+    if ct.cc_checks > 0 then
+      [
+        ("mcfi_checks_total", ct.cc_checks);
+        ("mcfi_check_pass_total", ct.cc_passes);
+        ("mcfi_check_violation_total", ct.cc_violations);
+        ("mcfi_check_exhausted_total", ct.cc_exhausted);
+        ("mcfi_check_retries_total", ct.cc_retries);
+      ]
+    else []
+
   let prometheus () =
     let b = Buffer.create 1024 in
     let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     List.iter
-      (fun c ->
-        p "# TYPE %s counter\n" c.Metrics.c_name;
-        p "%s %d\n" c.Metrics.c_name (Metrics.counter_value c))
-      (live_counters ());
-    let fc, fr = fast_totals () in
-    if fc > 0 then begin
-      p "# TYPE mcfi_fast_checks_total counter\n";
-      p "mcfi_fast_checks_total %d\n" fc;
-      p "# TYPE mcfi_fast_check_retries_total counter\n";
-      p "mcfi_fast_check_retries_total %d\n" fr
-    end;
-    let ct = check_totals () in
-    if ct.cc_checks > 0 then begin
-      p "# TYPE mcfi_checks_total counter\n";
-      p "mcfi_checks_total %d\n" ct.cc_checks;
-      p "# TYPE mcfi_check_pass_total counter\n";
-      p "mcfi_check_pass_total %d\n" ct.cc_passes;
-      p "# TYPE mcfi_check_violation_total counter\n";
-      p "mcfi_check_violation_total %d\n" ct.cc_violations;
-      p "# TYPE mcfi_check_exhausted_total counter\n";
-      p "mcfi_check_exhausted_total %d\n" ct.cc_exhausted;
-      p "# TYPE mcfi_check_retries_total counter\n";
-      p "mcfi_check_retries_total %d\n" ct.cc_retries
-    end;
+      (fun (name, v) -> p "# TYPE %s counter\n%s %d\n" name name v)
+      (all_counters ());
     List.iter
       (fun h ->
         let counts = Metrics.bucket_counts h in
@@ -829,58 +814,56 @@ module Export = struct
     Buffer.contents b
 
   let json () =
-    let b = Buffer.create 1024 in
-    let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    p "{\"counters\": {";
-    List.iteri
-      (fun i c ->
-        if i > 0 then p ", ";
-        p "\"%s\": %d" c.Metrics.c_name (Metrics.counter_value c))
-      (live_counters ());
-    p "}, \"histograms\": {";
-    List.iteri
-      (fun i h ->
-        if i > 0 then p ", ";
-        let s = Metrics.summary h in
-        p
-          "\"%s\": {\"count\": %d, \"sum\": %d, \"mean\": %.1f, \"p50\": %d, \
-           \"p90\": %d, \"p99\": %d}"
-          h.Metrics.h_name s.Metrics.s_count s.Metrics.s_sum s.Metrics.s_mean
-          s.Metrics.s_p50 s.Metrics.s_p90 s.Metrics.s_p99)
-      (live_histograms ());
+    let module J = Mcfi_util.Json in
+    let obj kvs = J.Obj (List.map (fun (k, v) -> (k, J.num v)) kvs) in
     let fc, fr = fast_totals () in
-    p "}, \"fast\": {\"checks\": %d, \"retries\": %d}" fc fr;
     let ct = check_totals () in
-    p
-      ", \"checks\": {\"total\": %d, \"pass\": %d, \"violation\": %d, \
-       \"exhausted\": %d, \"retries\": %d}"
-      ct.cc_checks ct.cc_passes ct.cc_violations ct.cc_exhausted ct.cc_retries;
-    p ", \"events\": {\"emitted\": %d, \"dropped\": %d}}" (events_emitted ())
-      (events_dropped ());
-    Buffer.contents b
+    J.to_string
+      (J.Obj
+         [
+           ( "counters",
+             obj
+               (List.map
+                  (fun c -> (c.Metrics.c_name, Metrics.counter_value c))
+                  (live_counters ())) );
+           ( "histograms",
+             J.Obj
+               (List.map
+                  (fun h ->
+                    let s = Metrics.summary h in
+                    ( h.Metrics.h_name,
+                      J.Obj
+                        [
+                          ("count", J.num s.Metrics.s_count);
+                          ("sum", J.num s.Metrics.s_sum);
+                          ("mean", J.Num s.Metrics.s_mean);
+                          ("p50", J.num s.Metrics.s_p50);
+                          ("p90", J.num s.Metrics.s_p90);
+                          ("p99", J.num s.Metrics.s_p99);
+                        ] ))
+                  (live_histograms ())) );
+           ("fast", obj [ ("checks", fc); ("retries", fr) ]);
+           ( "checks",
+             obj
+               [
+                 ("total", ct.cc_checks);
+                 ("pass", ct.cc_passes);
+                 ("violation", ct.cc_violations);
+                 ("exhausted", ct.cc_exhausted);
+                 ("retries", ct.cc_retries);
+               ] );
+           ( "events",
+             obj
+               [ ("emitted", events_emitted ()); ("dropped", events_dropped ()) ]
+           );
+         ])
 
   let pp_stats ppf () =
     Fmt.pf ppf "@[<v>";
-    let cs = live_counters () in
+    let cs = all_counters () in
     if cs <> [] then begin
       Fmt.pf ppf "counters:@,";
-      List.iter
-        (fun c ->
-          Fmt.pf ppf "  %-36s %12d@," c.Metrics.c_name
-            (Metrics.counter_value c))
-        cs
-    end;
-    let fc, fr = fast_totals () in
-    if fc > 0 then
-      Fmt.pf ppf "  %-36s %12d@,  %-36s %12d@," "mcfi_fast_checks_total" fc
-        "mcfi_fast_check_retries_total" fr;
-    let ct = check_totals () in
-    if ct.cc_checks > 0 then begin
-      Fmt.pf ppf "  %-36s %12d@," "mcfi_checks_total" ct.cc_checks;
-      Fmt.pf ppf "  %-36s %12d@," "mcfi_check_pass_total" ct.cc_passes;
-      Fmt.pf ppf "  %-36s %12d@," "mcfi_check_violation_total" ct.cc_violations;
-      Fmt.pf ppf "  %-36s %12d@," "mcfi_check_exhausted_total" ct.cc_exhausted;
-      Fmt.pf ppf "  %-36s %12d@," "mcfi_check_retries_total" ct.cc_retries
+      List.iter (fun (name, v) -> Fmt.pf ppf "  %-36s %12d@," name v) cs
     end;
     let hs = live_histograms () in
     if hs <> [] then begin

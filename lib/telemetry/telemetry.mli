@@ -1,9 +1,19 @@
-(** Domain-safe observability: per-domain lock-free trace rings, a
-    counter/histogram metrics registry, and text/JSON exporters.
+(** Domain-safe observability: one pool of per-domain lock-free event
+    rings, one per-domain check-tally slab, a counter/histogram metrics
+    registry, and text/JSON exporters.
 
-    Every hook is gated on {!enabled}; when the gate is off a hook costs
-    one atomic load and allocates nothing, so instrumentation can stay
-    compiled into the hot check/update paths permanently. *)
+    Two writers share the rings.  {!emit} records the sampled trace,
+    each event stamped from a global sequence so {!drain} merges all
+    rings into one causally ordered trace.  {!note} records the flight
+    recorder's always-on breadcrumbs without a shared read-modify-write;
+    [Obs.Flightrec] bundles capture the last events of every ring with
+    {!tail}.
+
+    The trace hooks are gated on {!enabled}; when the gate is off a hook
+    costs one atomic load and allocates nothing, so instrumentation can
+    stay compiled into the hot check/update paths permanently.  {!note}
+    and {!bump} are ungated: [Obs.Flightrec] gates them on its own
+    switch. *)
 
 (** {1 The gates} *)
 
@@ -104,6 +114,9 @@ module Event : sig
 
   type t = {
     seq : int;
+        (** global stamp: unique for {!emit}ted events; a {!note} carries
+            the stamp current when it was written *)
+    ord : int;  (** the ring's publish ordinal: per-domain order *)
     domain : int;
     kind : kind;
     a : int;
@@ -118,7 +131,7 @@ end
 val set_ring_capacity : int -> unit
 (** Capacity (events) for rings minted after the call; min 8.  Live
     rings keep their old capacity until their pool slot re-mints.
-    Default 4096. *)
+    Default 1024. *)
 
 val emit : ?x:int -> Event.kind -> a:int -> b:int -> c:int -> unit
 (** Record one event in the calling domain's ring.  No-op when disabled;
@@ -129,6 +142,13 @@ val emit : ?x:int -> Event.kind -> a:int -> b:int -> c:int -> unit
     [x] is an {!Event.make_ctx} context word (default none); if it
     carries no dispatch bits the process-wide {!set_dispatch_hint} is
     folded in. *)
+
+val note : x:int -> Event.kind -> a:int -> b:int -> c:int -> unit
+(** Record one breadcrumb in the calling domain's ring, whether or not
+    telemetry is enabled: one plain read of the global sequence (no
+    fetch-and-add), six plain stores, one publish, no allocation.  [x]
+    is an {!Event.make_ctx} context word, stored as given (no dispatch
+    hint is folded in). *)
 
 val set_dispatch_hint : int -> unit
 (** Declare the dispatch engine the current run uses
@@ -180,6 +200,10 @@ val drain : unit -> Event.t list
     so each ring contributes at most capacity − 1 most-recent events and
     no torn events. *)
 
+val tail : int -> Event.t list
+(** The last [n] events of every ring, ordered by (domain, ordinal),
+    torn slots dropped as in {!drain}.  Reads only that tail. *)
+
 val events_emitted : unit -> int
 val events_dropped : unit -> int
 
@@ -195,8 +219,23 @@ type check_counts = {
 }
 
 val check_totals : unit -> check_counts
-(** Exact {!check_end} outcome totals summed over all domains (detail
-    mode only; zeros otherwise). *)
+(** Exact check-outcome totals summed over all domains: those
+    {!check_end} counted in detail mode plus those harnesses {!bump}ed. *)
+
+type tally
+(** A per-domain slab stride: resolve once per slice with {!tally}, then
+    {!bump} is plain array stores per check. *)
+
+val tally : unit -> tally
+
+val bump : tally -> outcome:int -> retries:int -> unit
+(** Count one check ([outcome]: 0 = pass, 1 = violation, else
+    retries-exhausted) and its retries — unless detail mode is on, where
+    {!check_end} already counts it. *)
+
+val rewind : unit -> unit
+(** Rewind every ring and zero the tally slab; unlike {!reset} the
+    sequence counter and the metrics keep their values. *)
 
 (** {1 Metrics} *)
 
@@ -235,38 +274,6 @@ module Metrics : sig
   val reset : unit -> unit
 end
 
-(** {1 Fusion-candidate pair profile}
-
-    Which instruction-class pairs retire back to back — the evidence the
-    threaded-dispatch superinstruction set is chosen from.  The VM's
-    profiling path feeds {!Fusion.record} with (previous, current)
-    class ids while telemetry is enabled; {!Fusion.top} ranks the pairs
-    and {!Fusion.export} emits them as JSON.  Tallies use plain stores:
-    concurrent machines may undercount (the tally-slab contract). *)
-
-module Fusion : sig
-  (** Class-id space (ids outside [0, classes) are ignored). *)
-  val classes : int
-
-  (** Bind a display name to a class id (the VM registers its
-      instruction-class names at machine creation). *)
-  val set_name : int -> string -> unit
-
-  val name : int -> string
-
-  (** Tally one retired pair: [prev] then [cur]. *)
-  val record : prev:int -> cur:int -> unit
-
-  val reset : unit -> unit
-
-  (** The [n] hottest pairs, [(prev, cur, count)], hottest first; only
-      pairs that fired. *)
-  val top : int -> (int * int * int) list
-
-  (** JSON document of the top [limit] (default 8) pairs. *)
-  val export : ?limit:int -> unit -> string
-end
-
 (** {1 Exporters} *)
 
 module Export : sig
@@ -276,8 +283,8 @@ module Export : sig
 
   val json : unit -> string
   (** Self-contained JSON document: counters, histogram summaries,
-      fast-path tallies, event emitted/dropped totals.  Parseable by
-      [Benchjson.parse]. *)
+      fast-path tallies, event emitted/dropped totals, serialized with
+      {!Mcfi_util.Json}. *)
 
   val pp_stats : Format.formatter -> unit -> unit
   (** Human-readable stats report. *)

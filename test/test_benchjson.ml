@@ -6,9 +6,10 @@
    relies on. *)
 
 module J = Mcfi.Benchjson
+module Json = Mcfi_util.Json
 
 let get path j =
-  match Option.bind (J.path path j) J.num with
+  match Option.bind (Json.path path j) Json.to_float with
   | Some v -> v
   | None -> Alcotest.failf "missing or non-finite %s" (String.concat "." path)
 
@@ -150,9 +151,9 @@ let test_report_roundtrip_and_validate () =
   let report = small_report () in
   (* the emitted text must re-parse to a report that still validates and
      carries the same numbers *)
-  let text = J.to_string report in
+  let text = Json.to_string report in
   let parsed =
-    match J.parse text with
+    match Json.parse text with
     | Ok j -> j
     | Error m -> Alcotest.failf "re-parse failed: %s" m
   in
@@ -163,7 +164,7 @@ let test_report_roundtrip_and_validate () =
     "modules" 4.0
     (get [ "modules" ] parsed);
   let chain =
-    match J.path [ "cfggen"; "chain" ] parsed with
+    match Json.path [ "cfggen"; "chain" ] parsed with
     | Some (J.Arr rows) -> rows
     | _ -> Alcotest.fail "cfggen.chain missing"
   in
@@ -211,7 +212,7 @@ let test_schema_identity () =
   let report = small_report () in
   (* the report is keyed by an explicit schema name + version, and the
      artifact file name is derived from the version (one bump point) *)
-  (match J.member "schema" report with
+  (match Json.member "schema" report with
   | Some (J.Str s) -> Alcotest.(check string) "schema" J.schema s
   | _ -> Alcotest.fail "schema field missing");
   Alcotest.(check (float 0.0))
@@ -263,7 +264,7 @@ let test_validate_rejects_gaps () =
            kvs)
     | j -> j
   in
-  match J.parse (J.to_string poisoned) with
+  match Json.parse (Json.to_string poisoned) with
   | Ok j -> (
     match J.validate j with
     | Ok () -> Alcotest.fail "validated a non-finite field"
@@ -271,11 +272,11 @@ let test_validate_rejects_gaps () =
   | Error m -> Alcotest.failf "re-parse failed: %s" m
 
 let test_parser_basics () =
-  (match J.parse {| {"a": [1, 2.5, "x\n", true, null], "b": {}} |} with
+  (match Json.parse {| {"a": [1, 2.5, "x\n", true, null], "b": {}} |} with
   | Ok (J.Obj [ ("a", J.Arr [ J.Num 1.0; J.Num 2.5; J.Str "x\n"; J.Bool true; J.Null ]); ("b", J.Obj []) ]) -> ()
-  | Ok j -> Alcotest.failf "unexpected parse: %s" (J.to_string j)
+  | Ok j -> Alcotest.failf "unexpected parse: %s" (Json.to_string j)
   | Error m -> Alcotest.failf "parse failed: %s" m);
-  match J.parse "{\"a\": 1,}" with
+  match Json.parse "{\"a\": 1,}" with
   | Ok _ -> Alcotest.fail "accepted trailing comma"
   | Error _ -> ()
 

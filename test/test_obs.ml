@@ -1,13 +1,14 @@
 (* The observability layer: flight-recorder concurrency (no torn
-   events, no lost trigger — S3 of the forensics issue), the SLO
-   engine's rising-edge alert discipline, time-series ring wraparound,
-   forensic-bundle JSON round-trips through the real parser/validator,
-   exact bundle accounting under torture kills, and an SLO-driven
-   breaker trip in a fleet chaos scenario. *)
+   events, no lost trigger), the SLO engine's rising-edge alert
+   discipline, time-series ring wraparound, forensic-bundle JSON
+   round-trips through the real parser/validator (including a bundle
+   written by an earlier build), exact bundle accounting and retry
+   tallies under torture kills, and an SLO-driven breaker trip in a
+   fleet chaos scenario. *)
 
 module FR = Obs.Flightrec
-
-let check_pass = Telemetry.Event.(kind_code Check_pass)
+module E = Telemetry.Event
+module Json = Mcfi_util.Json
 
 (* Writers hammer per-domain rings with checksummed events while the
    main domain snapshots forensic bundles (each snapshot drains the
@@ -22,11 +23,11 @@ let test_flightrec_concurrency () =
   let doms =
     List.init writers (fun d ->
         Domain.spawn (fun () ->
-            let t = FR.tally () in
+            let t = Telemetry.tally () in
             for i = 0 to notes - 1 do
               let a = (d * 1_000_000) + i and b = i * 7 in
-              FR.note ~kind:check_pass ~ctx:(d + 1) ~a ~b ~c:((a * 31) + b);
-              FR.bump t ~outcome:(i mod 3) ~retries:(i land 1)
+              FR.note ~x:(d + 1) E.Check_pass ~a ~b ~c:((a * 31) + b);
+              Telemetry.bump t ~outcome:(i mod 3) ~retries:(i land 1)
             done))
   in
   let made = ref 0 in
@@ -34,7 +35,7 @@ let test_flightrec_concurrency () =
     (match
        FR.record_trigger FR.Oracle_anomaly
          ~reason:(Printf.sprintf "synthetic anomaly %d" k)
-         ~extra:[ ("k", Obs.Json.num k) ]
+         ~extra:[ ("k", Json.num k) ]
          ()
      with
     | Some _ -> incr made
@@ -48,39 +49,39 @@ let test_flightrec_concurrency () =
     (FR.trigger_requests FR.Oracle_anomaly);
   Alcotest.(check int) "all bundles emitted" triggers (FR.emitted ());
   Alcotest.(check int) "nothing dropped" 0 (FR.dropped ());
-  let consistent where (evs : FR.event list) =
+  let consistent where (evs : E.t list) =
     List.iter
-      (fun (e : FR.event) ->
-        if e.ev_kind <> check_pass then
-          Alcotest.failf "%s: torn kind %d" where e.ev_kind;
-        if e.ev_c <> (e.ev_a * 31) + e.ev_b then
+      (fun (e : E.t) ->
+        if e.kind <> E.Check_pass then
+          Alcotest.failf "%s: torn kind %s" where (E.kind_name e.kind);
+        if e.c <> (e.a * 31) + e.b then
           Alcotest.failf "%s: torn event d%d #%d (a=%d b=%d c=%d)" where
-            e.ev_domain e.ev_seq e.ev_a e.ev_b e.ev_c)
+            e.domain e.ord e.a e.b e.c)
       evs;
     (* per-domain publish ordinals strictly increase *)
     let last = Hashtbl.create 8 in
     List.iter
-      (fun (e : FR.event) ->
-        (match Hashtbl.find_opt last e.FR.ev_domain with
-        | Some s when s >= e.FR.ev_seq ->
-          Alcotest.failf "%s: domain %d seq %d after %d" where e.ev_domain
-            e.ev_seq s
+      (fun (e : E.t) ->
+        (match Hashtbl.find_opt last e.domain with
+        | Some s when s >= e.ord ->
+          Alcotest.failf "%s: domain %d seq %d after %d" where e.domain e.ord
+            s
         | _ -> ());
-        Hashtbl.replace last e.ev_domain e.ev_seq)
+        Hashtbl.replace last e.domain e.ord)
       evs
   in
-  consistent "final drain" (FR.drain ());
+  consistent "final drain" (Telemetry.drain ());
   List.iter
     (fun (b : FR.bundle) -> consistent "bundle snapshot" b.FR.bu_events)
     (FR.bundles ());
   (* the per-domain tallies survive concurrent bumping exactly *)
-  let checks, passes, violations, exhausted, retries = FR.tally_totals () in
+  let ct = Telemetry.check_totals () in
   let per_outcome = writers * notes / 3 in
-  Alcotest.(check int) "checks" (writers * notes) checks;
-  Alcotest.(check int) "passes" per_outcome passes;
-  Alcotest.(check int) "violations" per_outcome violations;
-  Alcotest.(check int) "exhausted" per_outcome exhausted;
-  Alcotest.(check int) "retries" (writers * notes / 2) retries;
+  Alcotest.(check int) "checks" (writers * notes) ct.cc_checks;
+  Alcotest.(check int) "passes" per_outcome ct.cc_passes;
+  Alcotest.(check int) "violations" per_outcome ct.cc_violations;
+  Alcotest.(check int) "exhausted" per_outcome ct.cc_exhausted;
+  Alcotest.(check int) "retries" (writers * notes / 2) ct.cc_retries;
   FR.reset ()
 
 let test_slo_rising_edge () =
@@ -168,21 +169,21 @@ let test_timeseries_wrap () =
 let test_bundle_roundtrip () =
   FR.reset ();
   for i = 0 to 9 do
-    FR.note ~kind:check_pass ~ctx:0 ~a:i ~b:(i * 2) ~c:((i * 31) + (i * 2))
+    FR.note ~x:0 E.Check_pass ~a:i ~b:(i * 2) ~c:((i * 31) + (i * 2))
   done;
   let bundle =
     match
       FR.record_trigger FR.Oracle_anomaly ~reason:"round-trip probe"
         ~extra:
-          [ ("shard", Obs.Json.num 3); ("detail", Obs.Json.Str "probe") ]
+          [ ("shard", Json.num 3); ("detail", Json.Str "probe") ]
         ()
     with
     | Some b -> b
     | None -> Alcotest.fail "trigger produced no bundle"
   in
-  let text = Obs.Json.to_string (FR.bundle_json bundle) in
+  let text = Json.to_string (FR.bundle_json bundle) in
   let parsed =
-    match Mcfi.Benchjson.parse text with
+    match Json.parse text with
     | Ok j -> j
     | Error m -> Alcotest.failf "bundle JSON does not re-parse: %s" m
   in
@@ -191,25 +192,95 @@ let test_bundle_roundtrip () =
   | Error m -> Alcotest.failf "bundle failed validation: %s" m);
   (* tampering with the schema identity must be caught *)
   let rekey k v = function
-    | Mcfi.Benchjson.Obj kvs ->
-      Mcfi.Benchjson.Obj
+    | Json.Obj kvs ->
+      Json.Obj
         (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
     | j -> j
   in
   (match
-     Mcfi.Forensics.validate (rekey "schema" (Mcfi.Benchjson.Str "other") parsed)
+     Mcfi.Forensics.validate (rekey "schema" (Json.Str "other") parsed)
    with
   | Ok () -> Alcotest.fail "validated a foreign schema"
   | Error _ -> ());
   (match
      Mcfi.Forensics.validate
        (rekey "schema_version"
-          (Mcfi.Benchjson.Num (float_of_int (FR.schema_version + 1)))
+          (Json.Num (float_of_int (FR.schema_version + 1)))
           parsed)
    with
   | Ok () -> Alcotest.fail "validated a bumped schema version"
   | Error _ -> ());
   FR.reset ()
+
+(* A schema-1 bundle written by an earlier build (its own ring, its own
+   JSON emitter), committed unedited: it must still validate and
+   replay. *)
+let test_old_bundle_parses () =
+  (* next to the test binary under [dune runtest], in [test/] from the
+     repo root under [dune exec] *)
+  let name = "bundle_v1_failed_check.json" in
+  let path =
+    List.find_opt Sys.file_exists
+      [
+        Filename.concat (Filename.dirname Sys.executable_name) name;
+        Filename.concat "test" name;
+      ]
+    |> Option.value ~default:name
+  in
+  let j =
+    match Mcfi.Forensics.of_file path with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "old bundle does not parse: %s" m
+  in
+  (match Mcfi.Forensics.validate j with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "old bundle failed validation: %s" m);
+  let text = Fmt.str "%a" Mcfi.Forensics.pp j in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun want ->
+      if not (contains want) then
+        Alcotest.failf "replay lacks %S:@.%s" want text)
+    [
+      "forensic bundle #0: failed-check";
+      "violation at slot 3 target 0x1060";
+      "check-violation";
+    ]
+
+(* The harness tallies each check's real retry count: after a torture
+   run that retried, a bundle's tallies must account for every retry.
+   The probe bundle is taken after the run because a check's retries
+   land in the tally when it completes — a watchdog bundle taken
+   mid-check cannot see them. *)
+let test_bundle_tallies_retries () =
+  FR.reset ();
+  let sc =
+    {
+      (Stress.default ~seed:5L) with
+      Stress.updates = 2_000;
+      kill_every = 100;
+      shards = 4;
+    }
+  in
+  let r = Stress.run sc in
+  (match r.Stress.rp_anomalies with
+  | [] -> ()
+  | an ->
+    Alcotest.failf "oracle anomalies:@.%a" (Fmt.list Stress.pp_anomaly) an);
+  let retries = (Faults.Stats.snapshot ()).Faults.Stats.retries in
+  if retries = 0 then Alcotest.fail "scenario never retried";
+  match FR.record_trigger FR.Oracle_anomaly ~reason:"retry tally probe" () with
+  | None -> Alcotest.fail "probe trigger produced no bundle"
+  | Some b ->
+    Alcotest.(check int) "bundle tallies every retry" retries
+      b.bu_tallies.cc_retries;
+    FR.reset ()
 
 (* Every kill the torture harness injects must yield exactly one
    forensic bundle — the uncapped Injected_kill accounting the
@@ -293,6 +364,10 @@ let () =
             test_flightrec_concurrency;
           Alcotest.test_case "bundle JSON round-trip" `Quick
             test_bundle_roundtrip;
+          Alcotest.test_case "schema-1 bundle still parses" `Quick
+            test_old_bundle_parses;
+          Alcotest.test_case "bundle tallies carry retries" `Quick
+            test_bundle_tallies_retries;
           Alcotest.test_case "torture kill accounting" `Quick
             test_torture_kill_accounting;
         ] );

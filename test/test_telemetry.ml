@@ -9,7 +9,7 @@
 
 module T = Telemetry
 module E = Telemetry.Event
-module J = Mcfi.Benchjson
+module J = Mcfi_util.Json
 
 let with_telemetry ?(detail = false) f =
   T.enable ();
@@ -32,7 +32,7 @@ let test_ring_wraparound () =
       (* force this domain's pool slot to re-mint at the new capacity *)
       Fun.protect
         ~finally:(fun () ->
-          T.set_ring_capacity 4096;
+          T.set_ring_capacity 1024;
           T.reset ())
         (fun () ->
           for i = 0 to 99 do
@@ -204,7 +204,7 @@ let test_export_singleton_registry () =
       | Error m -> Alcotest.failf "singleton export does not parse: %s" m
       | Ok doc -> begin
         match
-          Option.bind (J.path [ "counters"; "test_singleton_counter" ] doc) J.num
+          Option.bind (J.path [ "counters"; "test_singleton_counter" ] doc) J.to_float
         with
         | Some v -> Alcotest.(check (float 0.0)) "json value" 1.0 v
         | None -> Alcotest.fail "singleton counter missing from json"
@@ -221,7 +221,7 @@ let test_json_export_parses () =
         | Error m -> Alcotest.failf "export does not parse: %s" m
       in
       let num path =
-        match Option.bind (J.path path doc) J.num with
+        match Option.bind (J.path path doc) J.to_float with
         | Some v -> v
         | None ->
           Alcotest.failf "missing %s in %s" (String.concat "." path)
