@@ -812,8 +812,8 @@ let dispatch_measure () =
     List.map
       (fun nsh ->
         let shs =
-          Idtables.Shards.create ~stm:Idtables.Stm.Tml ~shards:nsh
-            ~code_base:Vmisa.Abi.code_base ~capacity:4096 ~bary_slots:64 ()
+          Idtables.Shards.create ~shards:nsh ~code_base:Vmisa.Abi.code_base
+            ~capacity:4096 ~bary_slots:64 ()
         in
         let tables = Idtables.Shards.tables shs 0 in
         (* interleave the engines' rounds so ambient drift (scheduler,
@@ -938,8 +938,7 @@ let shards_json () =
   let rows =
     List.map
       (fun n ->
-        Stress.shard_scaling ~updaters:4 ~stm:Idtables.Stm.Tml ~shards:n
-          ~seed:0x5AAD5L ())
+        Stress.shard_scaling ~updaters:4 ~shards:n ~seed:0x5AAD5L ())
       shard_counts
   in
   let baseline = List.hd rows in
@@ -951,7 +950,7 @@ let shards_json () =
     float_of_int best.Stress.ss_wedged_installs
     /. float_of_int (max 1 baseline.Stress.ss_wedged_installs)
   in
-  Fmt.pr "sharded installs (tml), %d updaters:@." 4;
+  Fmt.pr "sharded installs, %d updaters:@." 4;
   List.iter
     (fun r ->
       Fmt.pr "  %d shard(s): %.0f installs/s; %d installs during a %.2fs \
@@ -961,7 +960,6 @@ let shards_json () =
     rows;
   Mcfi.Benchjson.Obj
     [
-      ("stm", Str (Idtables.Stm.name Idtables.Stm.Tml));
       ( "rows",
         Arr
           (List.map

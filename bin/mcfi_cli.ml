@@ -483,27 +483,13 @@ let torture_cmd =
                  engine's model: version-hoisted reads cached per site, \
                  revalidated on the shard sequence word alone)")
   in
-  let stm_conv =
-    let parse s =
-      match Idtables.Stm.of_string s with
-      | Ok v -> Ok v
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, Idtables.Stm.pp)
-  in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt (some Supervisor.Cli.shards_conv) None & info [ "shards" ] ~docv:"N"
            ~doc:"override: split the tables into N independently versioned \
                  shard fault domains (default 1)")
   in
-  let stm =
-    Arg.(value & opt (some stm_conv) None & info [ "stm" ] ~docv:"VARIANT"
-           ~doc:"override: the commit protocol — $(b,tml), $(b,norec) \
-                 (NOrec-style value validation) or $(b,seqlock) \
-                 (ticket-lock seqlock)")
-  in
   let torture seed scenarios long checkers updaters updates kill_every loads
-      shards stm dispatch telemetry forensics =
+      shards dispatch telemetry forensics =
     if telemetry then Telemetry.enable ();
     if forensics <> None then Obs.Flightrec.set_dir forensics;
     let override v o = Option.value o ~default:v in
@@ -527,7 +513,6 @@ let torture_cmd =
         kill_every = override sc.Stress.kill_every kill_every;
         loader_loads = override sc.Stress.loader_loads loads;
         shards = override sc.Stress.shards shards;
-        stm = override sc.Stress.stm stm;
         hoisted =
           (match dispatch with
           | None -> sc.Stress.hoisted
@@ -563,7 +548,7 @@ let torture_cmd =
        ~doc:"multi-domain torture of the transaction and linking protocols, \
              validated by the epoch-history oracle")
     Term.(const torture $ seed $ scenarios $ long $ checkers $ updaters
-          $ updates $ kill_every $ loads $ shards $ stm $ dispatch $ telemetry
+          $ updates $ kill_every $ loads $ shards $ dispatch $ telemetry
           $ forensics)
 
 (* ---- forensics: validate and replay flight-recorder bundles ---- *)

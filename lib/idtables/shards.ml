@@ -17,19 +17,17 @@
 
 type t = {
   count : int;
-  stm : Stm.variant;
   tables : Tables.t array;
   homes : (int, int) Hashtbl.t; (* module id -> pinned home shard *)
   hlock : Mutex.t;
   installs : Telemetry.Metrics.counter array; (* per-shard install tally *)
 }
 
-let create ?(stm = Stm.Tml) ?(shards = 1) ?covered ~code_base ~capacity
+let create ?(shards = 1) ?covered ~code_base ~capacity
     ~bary_slots () =
   let count = max shards 1 in
   {
     count;
-    stm;
     tables =
       Array.init count (fun i ->
           Tables.create ~shard:i ?covered ~code_base ~capacity ~bary_slots ());
@@ -41,7 +39,6 @@ let create ?(stm = Stm.Tml) ?(shards = 1) ?covered ~code_base ~capacity
   }
 
 let count t = t.count
-let stm t = t.stm
 
 let tables t i =
   if i < 0 || i >= t.count then
@@ -74,11 +71,11 @@ let home t ~m =
       | Some s -> s
       | None -> hash_home t.count m)
 
-(* ---- per-shard transactions: thin dispatch over the STM variant ---- *)
+(* ---- per-shard transactions: MCFI's own, against one shard ---- *)
 
 let check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t ~shard
     ~bary_index ~target =
-  Stm.check t.stm ?max_retries ?escalation ?watchdog ?jitter ?on_retry
+  Tx.check ?max_retries ?escalation ?watchdog ?jitter ?on_retry
     (tables t shard) ~bary_index ~target
 
 let check_fast ?on_retry t ~shard ~bary_index ~target =
@@ -86,29 +83,29 @@ let check_fast ?on_retry t ~shard ~bary_index ~target =
 
 let check_hoisted ?max_retries ?escalation ?watchdog ?jitter ?on_retry t
     ~shard site ~bary_index ~target =
-  Stm.check_hoisted t.stm ?max_retries ?escalation ?watchdog ?jitter
+  Tx.check_hoisted ?max_retries ?escalation ?watchdog ?jitter
     ?on_retry (tables t shard) site ~bary_index ~target
 
 let update ?tag ?got_update t ~shard ~tary ~bary =
-  let v = Stm.update t.stm ?tag ?got_update (tables t shard) ~tary ~bary in
+  let v = Tx.update ?tag ?got_update (tables t shard) ~tary ~bary in
   Telemetry.Metrics.incr t.installs.(shard);
   v
 
 let update_delta ?tag ?got_update ?pre_install t ~shard ~tary ~bary
     ~tary_carry ~bary_carry =
   let v =
-    Stm.update_delta t.stm ?tag ?got_update ?pre_install (tables t shard)
+    Tx.update_delta ?tag ?got_update ?pre_install (tables t shard)
       ~tary ~bary ~tary_carry ~bary_carry
   in
   Telemetry.Metrics.incr t.installs.(shard);
   v
 
 let refresh t ~shard =
-  let v = Stm.refresh t.stm (tables t shard) in
+  let v = Tx.refresh (tables t shard) in
   Telemetry.Metrics.incr t.installs.(shard);
   v
 
-let recover t ~shard = Stm.recover t.stm (tables t shard)
+let recover t ~shard = Tx.recover (tables t shard)
 
 let recover_all t =
   let n = ref 0 in

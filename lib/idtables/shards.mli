@@ -20,18 +20,16 @@
     a target the shard does not cover reads [Id.invalid] and fails
     closed.
 
-    {b Commit protocol.}  Every shard transaction runs under the STM
-    variant the shards were created with (see {!Stm}); all variants
-    share the journal-based torn-update guarantee, per shard. *)
+    {b Commit protocol.}  Every shard transaction is MCFI's own
+    ({!Tx.check}, {!Tx.update}, …) against that shard's tables, so the
+    journal-based torn-update guarantee holds per shard. *)
 
 type t
 
 (** [create ~code_base ~capacity ~bary_slots ()] builds [shards]
     (default 1) table pairs of identical geometry, shard [i] carrying
-    fault-domain id [i].  [stm] (default [Tml]) selects the commit
-    protocol used by {!check}/{!update}/{!update_delta}. *)
+    fault-domain id [i]. *)
 val create :
-  ?stm:Stm.variant ->
   ?shards:int ->
   ?covered:int ->
   code_base:int ->
@@ -41,7 +39,6 @@ val create :
   t
 
 val count : t -> int
-val stm : t -> Stm.variant
 
 (** The shard's underlying tables (for direct [Tables] access: epoch
     machinery, snapshots, diagnostics).  Raises [Invalid_argument] out
@@ -57,9 +54,7 @@ val home : t -> m:int -> int
 
 (** {2 Per-shard transactions} *)
 
-(** One check transaction against shard [shard]'s tables, under the
-    configured STM variant's read protocol; parameters as
-    {!Tx.check}. *)
+(** {!Tx.check} against shard [shard]'s tables. *)
 val check :
   ?max_retries:int ->
   ?escalation:Tx.escalation ->
@@ -82,10 +77,9 @@ val check_fast :
 
 (** One check transaction through a version-hoisted {!Tx.site} against
     shard [shard]'s tables: the hit path validates on that shard's
-    install sequence word alone; a miss runs the configured STM
-    variant's full read protocol and refills.  The site caches state
-    from one shard's tables — use one site per (checker, shard, branch
-    slot). *)
+    install sequence word alone; a miss runs {!Tx.check} and refills.
+    The site caches state from one shard's tables — use one site per
+    (checker, shard, branch slot). *)
 val check_hoisted :
   ?max_retries:int ->
   ?escalation:Tx.escalation ->

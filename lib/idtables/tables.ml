@@ -73,21 +73,15 @@ type t = {
   updates_since_quiesce : int Atomic.t;
   quiesce_events : int Atomic.t;
   sync : int Atomic.t;
-  (* The install sequence word for the seqlock-family STM variants
-     ([Stm.Norec] / [Stm.Seqlock]): odd exactly while slot writes are in
+  (* The install sequence word: odd exactly while slot writes are in
      flight, bumped to the next even value when they are published.  The
-     MCFI protocol itself never reads it (a check passes only on
-     bit-identical IDs, so it needs no snapshot validation), but every
-     install path maintains it so the alternative readers can coexist
-     with any writer — including journal redo and loader rollback.  A
-     torn install leaves it odd; recovery forces it even. *)
+     check transaction itself does not need it (a check passes only on
+     bit-identical IDs, so it needs no snapshot validation), but the
+     hoisted check sites ([Tx.check_hoisted] and the threaded engine)
+     revalidate their cached ID pair on it alone, so every install path
+     maintains it — including journal redo and loader rollback.  A torn
+     install leaves it odd; recovery forces it even. *)
   seq : int Atomic.t;
-  (* FIFO writer admission for the ticket-seqlock variant: a writer draws
-     [ticket_next] and spins until [ticket_serving] reaches its draw, so
-     contended installs commit in arrival order instead of by mutex
-     luck. *)
-  ticket_next : int Atomic.t;
-  ticket_serving : int Atomic.t;
   update_lock : Mutex.t;
   update_busy : bool Atomic.t; (* diagnostic: is the lock held? *)
   readers : reader list Atomic.t;
@@ -115,8 +109,6 @@ let create ?(shard = 0) ?covered ~code_base ~capacity ~bary_slots () =
     quiesce_events = Atomic.make 0;
     sync = Atomic.make 0;
     seq = Atomic.make 0;
-    ticket_next = Atomic.make 0;
-    ticket_serving = Atomic.make 0;
     update_lock = Mutex.create ();
     update_busy = Atomic.make false;
     readers = Atomic.make [];
@@ -150,7 +142,7 @@ let quiesce_events t = Atomic.get t.quiesce_events
 
 let publish t = Atomic.incr t.sync
 
-(* ---- install sequence word (seqlock-family STM readers) ----
+(* ---- install sequence word (hoisted check sites) ----
 
    [seq_enter] before the first slot write of any install-like mutation,
    [seq_exit] after its final barrier.  Enter is idempotent on an
@@ -161,11 +153,6 @@ let publish t = Atomic.incr t.sync
 let seq_read t = Atomic.get t.seq
 let seq_enter t = Atomic.set t.seq (Atomic.get t.seq lor 1)
 let seq_exit t = Atomic.set t.seq ((Atomic.get t.seq lor 1) + 1)
-
-(* Ticket words for the FIFO writer lock ([Stm.Seqlock]). *)
-let ticket_draw t = Atomic.fetch_and_add t.ticket_next 1
-let ticket_serving t = Atomic.get t.ticket_serving
-let ticket_advance t = Atomic.incr t.ticket_serving
 
 let with_update_lock t f =
   Mutex.lock t.update_lock;

@@ -182,13 +182,13 @@ val publish : t -> unit
     A seqlock word over the slot arrays, maintained by {e every}
     install-like mutation (updates, journal redo, loader rollback):
     odd exactly while slot writes are in flight, advanced to a fresh
-    even value once they are published.  The MCFI check protocol never
+    even value once they are published.  The check transaction never
     needs it — a check only passes on bit-identical IDs — but the
-    alternative commit protocols in {!Stm} ([Norec]'s value-validated
-    snapshots, [Seqlock]'s parity-waiting readers) read it, and because
-    all writers maintain it those readers stay correct against any mix
-    of writer paths.  A torn install leaves the word odd; recovery (or
-    rollback) forces it even. *)
+    version-hoisted check sites ({!Tx.check_hoisted} and the threaded
+    engine's superinstructions) revalidate a cached ID pair on it
+    alone, which is sound only because every writer path maintains it.
+    A torn install leaves the word odd; recovery (or rollback) forces
+    it even. *)
 
 (** The current sequence value — an atomic load, safe from any domain. *)
 val seq_read : t -> int
@@ -202,19 +202,6 @@ val seq_enter : t -> unit
     reader that sampled before the install always observes movement.
     Update-lock holders only, after the final barrier. *)
 val seq_exit : t -> unit
-
-(** {2 Ticket lock words}
-
-    FIFO writer admission for {!Stm.Seqlock}: a writer draws a ticket
-    and spins until the serving counter reaches it, so contended
-    installs commit in arrival order.  The ticket wraps the ordinary
-    update mutex (drawn before, advanced after), which keeps
-    ticket-ordered writers safe against mutex-only lock holders
-    (recovery, rollback, quiescence probes). *)
-
-val ticket_draw : t -> int
-val ticket_serving : t -> int
-val ticket_advance : t -> unit
 
 (** [tary_read t addr] is the 4-byte word at code address [addr] in the
     Tary region — atomic for aligned [addr], byte-composed for misaligned

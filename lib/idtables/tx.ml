@@ -347,17 +347,16 @@ let capture_watchdog t ~bary_index ~target ~rounds =
 
 (* ---- the check transaction ----
 
-   One attempt of a read protocol decides [A_pass] on bit-identical IDs
-   and [A_violation] on an invalid target or an ECN mismatch at equal
-   versions; version skew ([A_skew]) means an install is (or was) in
-   flight and the attempt is retried.  [check_with] is the one retry
-   engine around an attempt — budget, watchdog, escalation ladder and
-   every probe — shared by MCFI's own protocol and the [Stm] variants. *)
+   One attempt decides [A_pass] on bit-identical IDs and [A_violation]
+   on an invalid target or an ECN mismatch at equal versions; version
+   skew ([A_skew]) means an install is (or was) in flight and the
+   attempt is retried.  No snapshot validation: the ID encoding
+   arbitrates.  [check] is the retry engine around it — budget,
+   watchdog, escalation ladder and every probe. *)
 
 type attempt = A_pass | A_violation | A_skew
 
-(* MCFI's protocol: no snapshot validation, the ID encoding arbitrates *)
-let tml_attempt t ~bary_index ~target =
+let attempt t ~bary_index ~target =
   let bid = Tables.bary_read t bary_index in
   let tid = Tables.tary_read t target in
   if bid = tid then A_pass
@@ -365,8 +364,8 @@ let tml_attempt t ~bary_index ~target =
   else if not (Id.same_version bid tid) then A_skew
   else A_violation
 
-let check_with attempt ?max_retries ?(escalation = Fail_check) ?watchdog
-    ?jitter ?(on_retry = fun () -> ()) t ~bary_index ~target =
+let check ?max_retries ?(escalation = Fail_check) ?watchdog ?jitter
+    ?(on_retry = fun () -> ()) t ~bary_index ~target =
   let ctx = Telemetry.check_begin () in
   match attempt t ~bary_index ~target with
   | A_pass when not (Telemetry.ctx_active ctx) ->
@@ -461,11 +460,6 @@ let check_with attempt ?max_retries ?(escalation = Fail_check) ?watchdog
           ~target ~outcome:o ~retries:!nretries);
     outcome
 
-let check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t ~bary_index
-    ~target =
-  check_with tml_attempt ?max_retries ?escalation ?watchdog ?jitter ?on_retry
-    t ~bary_index ~target
-
 (* ---- version-hoisted check sites (TML-style read hoisting) ----
 
    A branch site that keeps transferring to the same target re-reads two
@@ -524,7 +518,8 @@ let refill t site ~bary_index ~target =
     end
   end
 
-let check_hoisted_with ~full t site ~bary_index ~target =
+let check_hoisted ?max_retries ?escalation ?watchdog ?jitter ?on_retry t site
+    ~bary_index ~target =
   let s = Tables.seq_read t in
   if s land 1 = 0 && s = site.s_seq && target = site.s_target then begin
     site.s_hits <- site.s_hits + 1;
@@ -540,18 +535,13 @@ let check_hoisted_with ~full t site ~bary_index ~target =
   end
   else begin
     site.s_misses <- site.s_misses + 1;
-    let outcome = full () in
+    let outcome =
+      check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t ~bary_index
+        ~target
+    in
     refill t site ~bary_index ~target;
     outcome
   end
-
-let check_hoisted ?max_retries ?escalation ?watchdog ?jitter ?on_retry t site
-    ~bary_index ~target =
-  check_hoisted_with
-    ~full:(fun () ->
-      check ?max_retries ?escalation ?watchdog ?jitter ?on_retry t ~bary_index
-        ~target)
-    t site ~bary_index ~target
 
 (* The hard ABA wall: at [Id.max_version - 1] updates with no declared
    quiescence the next update could wrap the version space under a

@@ -87,10 +87,9 @@ val seed_domain_jitter : int64 -> unit
 
     Gated on {!Obs.Flightrec.recording} — never on telemetry sampling —
     so the black box still has answers when tracing was off.
-    {!check_with} (so every STM variant) calls them on every non-[Pass]
-    outcome and on watchdog expiry; the hoisted-site hit path reports
-    cached violations through them too.  Each occurrence writes one ring
-    event. *)
+    {!check} calls them on every non-[Pass] outcome and on watchdog
+    expiry; the hoisted-site hit path reports cached violations through
+    them too.  Each occurrence writes one ring event. *)
 
 (** Record a violating / exhausted transfer: a breadcrumb in the calling
     domain's ring (skipped when [traced]: the check's sampled outcome
@@ -122,28 +121,6 @@ val capture_watchdog :
     chase a stalled updater.  [jitter] randomizes each retry's backoff
     (see {!backoff}); the PRNG is owned by the calling domain. *)
 val check :
-  ?max_retries:int ->
-  ?escalation:escalation ->
-  ?watchdog:watchdog ->
-  ?jitter:Mcfi_util.Prng.t ->
-  ?on_retry:(unit -> unit) ->
-  Tables.t ->
-  bary_index:int ->
-  target:int ->
-  outcome
-
-(** One attempt of a read protocol: [A_pass] on bit-identical IDs,
-    [A_violation] on an invalid target or an ECN mismatch at equal
-    versions, [A_skew] on version skew (an install is or was in flight:
-    retry). *)
-type attempt = A_pass | A_violation | A_skew
-
-(** [check_with attempt] is {!check} around another read protocol
-    ({!check} uses MCFI's own: no snapshot validation): the same retry
-    budget, watchdog, escalation ladder, telemetry bracket and
-    flight-recorder capture.  The [Stm] variants run through it. *)
-val check_with :
-  (Tables.t -> bary_index:int -> target:int -> attempt) ->
   ?max_retries:int ->
   ?escalation:escalation ->
   ?watchdog:watchdog ->
@@ -204,18 +181,6 @@ val check_hoisted :
   ?watchdog:watchdog ->
   ?jitter:Mcfi_util.Prng.t ->
   ?on_retry:(unit -> unit) ->
-  Tables.t ->
-  site ->
-  bary_index:int ->
-  target:int ->
-  outcome
-
-(** [check_hoisted_with ~full t site ~bary_index ~target] — the same
-    hit path, with the fallback transaction supplied by the caller
-    ({!Stm.check} under a non-default variant, a sharded check, …).
-    [full] must decide against [t]'s current tables. *)
-val check_hoisted_with :
-  full:(unit -> outcome) ->
   Tables.t ->
   site ->
   bary_index:int ->

@@ -16,7 +16,6 @@ type scenario = {
   loader_loads : int;
   loader_fault_one_in : int;
   shards : int;
-  stm : Stm.variant;
   hoisted : bool;
 }
 
@@ -36,7 +35,6 @@ let default ~seed =
     loader_loads = 0;
     loader_fault_one_in = 0;
     shards = 1;
-    stm = Stm.Tml;
     hoisted = false;
   }
 
@@ -57,25 +55,23 @@ let generate ~seed =
       loader_loads = Prng.choose p [ 0; 4; 8 ];
       loader_fault_one_in = Prng.choose p [ 0; 2; 3 ];
       shards = 1;
-      stm = Stm.Tml;
       hoisted = false;
     }
   in
   (* drawn after the record so the base dimensions keep their stream
      positions (record-field evaluation order is unspecified) *)
   let shards = Prng.choose p [ 1; 2; 4 ] in
-  let stm = Prng.choose p Stm.all in
   let hoisted = Prng.bool p in
-  { base with shards; stm; hoisted }
+  { base with shards; hoisted }
 
 let pp_scenario ppf sc =
   Fmt.pf ppf
     "seed=%Ld checkers=%d updaters=%d updates=%d cfgs=%d targets=%d slots=%d \
      kill-every=%d reclaimer=%b deadline=%d loads=%d load-fault-1/%d \
-     shards=%d stm=%a dispatch=%s"
+     shards=%d dispatch=%s"
     sc.seed sc.checkers sc.updaters sc.updates sc.cfgs sc.targets sc.slots
     sc.kill_every sc.reclaimer sc.watchdog_deadline sc.loader_loads
-    sc.loader_fault_one_in sc.shards Stm.pp sc.stm
+    sc.loader_fault_one_in sc.shards
     (if sc.hoisted then "threaded" else "byte")
 
 type anomaly = { an_seed : int64; an_kind : string; an_detail : string }
@@ -489,7 +485,7 @@ let reclaimer_loop ~stop ~shs () =
 let run_torture sc master pool =
   let nsh = max 1 sc.shards in
   let shs =
-    Shards.create ~stm:sc.stm ~shards:nsh ~code_base:torture_base
+    Shards.create ~shards:nsh ~code_base:torture_base
       ~capacity:(4 * sc.targets) ~bary_slots:sc.slots ()
   in
   (* the cross-shard path commits one update on two shards, and each
@@ -993,7 +989,6 @@ let install_throughput ?(checkers = 4) ?(installs = 256) ?(targets = 4096)
 
 type shard_scaling = {
   ss_shards : int;
-  ss_stm : Stm.variant;
   ss_installs : int;
   ss_installs_per_s : float;
   ss_wedge_s : float;
@@ -1029,12 +1024,12 @@ let scaling_updater ~stop ~shs ~prng ~cfgs ~shard ~tally () =
    single lock is the wedged lock); with N shards the updaters homed
    off shard 0 are untouched. *)
 let shard_scaling ?(updaters = 4) ?(duration_s = 0.2) ?(wedge_s = 0.2)
-    ?(targets = 64) ?(slots = 16) ?(stm = Stm.Tml) ~shards ~seed () =
+    ?(targets = 64) ?(slots = 16) ~shards ~seed () =
   let nsh = max 1 shards in
   let prng = Prng.create seed in
   Tx.seed_domain_jitter seed;
   let shs =
-    Shards.create ~stm ~shards:nsh ~code_base:torture_base
+    Shards.create ~shards:nsh ~code_base:torture_base
       ~capacity:(4 * targets) ~bary_slots:slots ()
   in
   let pool =
@@ -1087,7 +1082,6 @@ let shard_scaling ?(updaters = 4) ?(duration_s = 0.2) ?(wedge_s = 0.2)
   Array.iter Domain.join doms_b;
   {
     ss_shards = nsh;
-    ss_stm = stm;
     ss_installs = installs;
     ss_installs_per_s = float_of_int installs /. duration_s;
     ss_wedge_s = wedge_s;

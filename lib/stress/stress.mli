@@ -48,9 +48,6 @@ type scenario = {
           and updaters are homed round-robin, roughly one update in
           eleven commits cross-shard, and kills are shard-scoped so a
           torn install is confined to one shard's recovery *)
-  stm : Idtables.Stm.variant;
-      (** commit protocol every shard transaction runs under — the same
-          epoch-history oracle judges all variants *)
   hoisted : bool;
       (** torture checkers run through version-hoisted {!Idtables.Tx.site}
           caches (one per branch slot, as the threaded engine's fused
@@ -153,7 +150,6 @@ val install_throughput :
 
 type shard_scaling = {
   ss_shards : int;
-  ss_stm : Idtables.Stm.variant;
   ss_installs : int;  (** phase-A installs completed *)
   ss_installs_per_s : float;
   ss_wedge_s : float;  (** length of the wedged window *)
@@ -168,7 +164,6 @@ val shard_scaling :
   ?wedge_s:float ->
   ?targets:int ->
   ?slots:int ->
-  ?stm:Idtables.Stm.variant ->
   shards:int ->
   seed:int64 ->
   unit ->

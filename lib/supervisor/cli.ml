@@ -60,23 +60,21 @@ let smoke_arg =
          ~doc:"the small CI fleet: 16 tenants, a deterministic kill and \
                wedge plan, short run")
 
-let stm_conv =
+(* a shard count below 1 is a usage error, not a silent clamp to 1;
+   [mcfi torture] parses its [--shards] with this too *)
+let shards_conv =
   let parse s =
-    match Idtables.Stm.of_string s with
-    | Ok v -> Ok v
-    | Error e -> Error (`Msg e)
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid shard count %S, expected N >= 1" s))
   in
-  Arg.conv (parse, Idtables.Stm.pp)
+  Arg.conv (parse, Fmt.int)
 
 let shards_arg =
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
+  Arg.(value & opt (some shards_conv) None & info [ "shards" ] ~docv:"N"
          ~doc:"split the shared tables into $(docv) independently versioned \
                shard fault domains; each tenant is homed on one (default 1)")
-
-let stm_arg =
-  Arg.(value & opt (some stm_conv) None & info [ "stm" ] ~docv:"VARIANT"
-         ~doc:"commit protocol for every shard transaction: $(b,tml), \
-               $(b,norec) or $(b,seqlock)")
 
 let shard_breaker_arg =
   Arg.(value & opt (some int) None & info [ "shard-breaker" ] ~docv:"N"
@@ -116,7 +114,7 @@ let telemetry_arg =
 let override v o = match o with Some x -> x | None -> v
 
 let config_of seed tenants workers ticks storm_every storm_size churn_every
-    loaders kill_one_in wedge_one_in slow_one_in shards stm shard_breaker
+    loaders kill_one_in wedge_one_in slow_one_in shards shard_breaker
     slo_breaker dispatch smoke =
   let base = if smoke then Fleet.smoke ~seed else Fleet.default ~seed in
   let chaos =
@@ -143,7 +141,6 @@ let config_of seed tenants workers ticks storm_every storm_size churn_every
     fc_loaders = override base.Fleet.fc_loaders loaders;
     fc_chaos = chaos;
     fc_shards = override base.Fleet.fc_shards shards;
-    fc_stm = override base.Fleet.fc_stm stm;
     fc_shard_breaker = override base.Fleet.fc_shard_breaker shard_breaker;
     fc_slo_breaker = base.Fleet.fc_slo_breaker || slo_breaker;
     fc_dispatch = override base.Fleet.fc_dispatch dispatch;
@@ -153,7 +150,7 @@ let config_term =
   Term.(const config_of $ seed_arg $ tenants_arg $ workers_arg $ ticks_arg
         $ storm_every_arg $ storm_size_arg $ churn_every_arg $ loaders_arg
         $ kill_one_in_arg $ wedge_one_in_arg $ slow_one_in_arg $ shards_arg
-        $ stm_arg $ shard_breaker_arg $ slo_breaker_arg $ dispatch_arg
+        $ shard_breaker_arg $ slo_breaker_arg $ dispatch_arg
         $ smoke_arg)
 
 let main config telemetry forensics =

@@ -2,7 +2,6 @@ module Prng = Mcfi_util.Prng
 module Json = Mcfi_util.Json
 module Tables = Idtables.Tables
 module Tx = Idtables.Tx
-module Stm = Idtables.Stm
 module Shards = Idtables.Shards
 
 type config = {
@@ -23,7 +22,6 @@ type config = {
   fc_policy : Health.policy;
   fc_tick_s : float;
   fc_shards : int;
-  fc_stm : Stm.variant;
   fc_shard_breaker : int;
   fc_slo_breaker : bool;
   fc_dispatch : Mcfi_runtime.Machine.dispatch;
@@ -53,7 +51,6 @@ let default ~seed =
     fc_policy = Health.default_policy;
     fc_tick_s = 0.001;
     fc_shards = 1;
-    fc_stm = Stm.Tml;
     fc_shard_breaker = 0;
     fc_slo_breaker = false;
     fc_dispatch = Mcfi_runtime.Machine.Byte;
@@ -80,11 +77,11 @@ let smoke ~seed =
 let pp_config ppf fc =
   Fmt.pf ppf
     "seed=%Ld tenants=%d (%d loaders) workers=%d ticks=%d base=%d \
-     storm=%d/%d churn=%d shards=%d stm=%a breaker=%d slo-breaker=%b \
+     storm=%d/%d churn=%d shards=%d breaker=%d slo-breaker=%b \
      dispatch=%s chaos=[%a] policy=(%a)"
     fc.fc_seed fc.fc_tenants fc.fc_loaders fc.fc_workers fc.fc_ticks
     fc.fc_base_installs fc.fc_storm_size fc.fc_storm_every fc.fc_churn_every
-    fc.fc_shards Stm.pp fc.fc_stm fc.fc_shard_breaker fc.fc_slo_breaker
+    fc.fc_shards fc.fc_shard_breaker fc.fc_slo_breaker
     (Mcfi_runtime.Machine.dispatch_name fc.fc_dispatch)
     (Fmt.list ~sep:Fmt.comma Faults.Tenant.pp_plan)
     fc.fc_chaos Health.pp_policy fc.fc_policy
@@ -811,7 +808,7 @@ let run fc =
   let admit_prng = Prng.split master in
   let churn_prng = Prng.split master in
   let shs =
-    Shards.create ~stm:fc.fc_stm ~shards:nsh ~code_base:fleet_base
+    Shards.create ~shards:nsh ~code_base:fleet_base
       ~capacity:(4 * fc.fc_targets) ~bary_slots:fc.fc_slots ()
   in
   (* every admission can begin at most one install, plus the seed

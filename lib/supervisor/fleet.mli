@@ -47,8 +47,6 @@ type config = {
       (** shard fault domains ({!Idtables.Shards}); each tenant is homed
           on shard [id mod fc_shards]: its reader, checks, installs,
           kills and recovery all confined there *)
-  fc_stm : Idtables.Stm.variant;
-      (** commit protocol every shard transaction runs under *)
   fc_shard_breaker : int;
       (** per-shard circuit breaker: quarantine a whole shard — tearing
           down {e only its own} tenants — once this many crashes have

@@ -71,7 +71,6 @@ let small_report () =
   let shards =
     J.Obj
       [
-        ("stm", J.Str "tml");
         ( "rows",
           J.Arr
             [

@@ -1,5 +1,6 @@
 (* Tests for the ID tables: bit packing (paper Fig. 2), table reads
-   (including misaligned ones), transactions (Figs. 3-4), baselines, and a
+   (including misaligned ones), transactions (Figs. 3-4) with torn-install
+   recovery and an allocation-free pass path, baselines, and a
    linearizability stress test on real domains. *)
 
 open Idtables
@@ -225,6 +226,134 @@ let test_got_update_hook_runs_between_phases () =
   Alcotest.(check bool) "hook saw new tary" true
     (!observed = Some (Tables.version t))
 
+(* ---------- outcomes, mid-install skew, torn-install recovery ---------- *)
+
+(* Two classes: slot 0 reaches 0x1010, slot 1 reaches 0x1020. *)
+let seed_cfg t =
+  Tx.update t ~tary:[ (0x1010, 3); (0x1020, 4) ] ~bary:[ (0, 3); (1, 4) ]
+
+let outcome = Alcotest.testable Tx.pp_outcome ( = )
+
+let test_outcomes () =
+  let t = mk_tables () in
+  let (_ : int) = seed_cfg t in
+  let check = Tx.check t in
+  Alcotest.check outcome "own target passes" Tx.Pass
+    (check ~bary_index:0 ~target:0x1010);
+  Alcotest.check outcome "other class's target violates" Tx.Violation
+    (check ~bary_index:0 ~target:0x1020);
+  Alcotest.check outcome "unmapped target fails closed" Tx.Violation
+    (check ~bary_index:0 ~target:0x1040);
+  Alcotest.check outcome "misaligned target fails closed" Tx.Violation
+    (check ~bary_index:0 ~target:0x1012);
+  (* a second install re-keys both classes under the bumped version; the
+     old edges must not linger *)
+  let (_ : int) = Tx.update t ~tary:[ (0x1010, 5) ] ~bary:[ (0, 5) ] in
+  Alcotest.check outcome "rekeyed edge passes" Tx.Pass
+    (check ~bary_index:0 ~target:0x1010);
+  Alcotest.check outcome "dropped target violates" Tx.Violation
+    (check ~bary_index:0 ~target:0x1020)
+
+let test_mid_install_skew () =
+  let t = mk_tables () in
+  let (_ : int) = seed_cfg t in
+  (* from inside the install window (the got_update hook runs between
+     the Tary and Bary phases) a bounded check must exhaust its retries:
+     the window is skewed, and it may not resolve to a verdict *)
+  let during = ref None in
+  let (_ : int) =
+    Tx.update t
+      ~got_update:(fun () ->
+        during := Some (Tx.check ~max_retries:3 t ~bary_index:0 ~target:0x1010))
+      ~tary:[ (0x1010, 3); (0x1020, 4) ]
+      ~bary:[ (0, 3); (1, 4) ]
+  in
+  (match !during with
+  | Some o ->
+    Alcotest.check outcome "mid-install check exhausts" Tx.Retries_exhausted o
+  | None -> Alcotest.fail "got_update hook never ran");
+  (* after the install completes the same check passes *)
+  Alcotest.check outcome "post-install pass" Tx.Pass
+    (Tx.check t ~bary_index:0 ~target:0x1010)
+
+let test_torn_recovery () =
+  let t = mk_tables () in
+  let (_ : int) = seed_cfg t in
+  (* kill the updater after its first Tary publish: phase 1 torn *)
+  Faults.arm (Faults.Plan.At { point = Faults.Plan.Nth_tary_write; hit = 1 });
+  (match
+     Tx.update t ~tary:[ (0x1010, 7); (0x1020, 7) ] ~bary:[ (0, 7); (1, 7) ]
+   with
+  | (_ : int) -> Alcotest.fail "armed kill never fired"
+  | exception Faults.Injected _ -> ());
+  Faults.disarm ();
+  Alcotest.(check bool) "journal left behind" true (Tables.journal t <> None);
+  (* explicit recovery redoes the torn install to completion *)
+  Alcotest.(check bool) "recover redoes" true (Tx.recover t);
+  Alcotest.(check bool) "journal consumed" true (Tables.journal t = None);
+  Alcotest.check outcome "torn install completed" Tx.Pass
+    (Tx.check t ~bary_index:0 ~target:0x1010);
+  Alcotest.check outcome "merged classes pass" Tx.Pass
+    (Tx.check t ~bary_index:0 ~target:0x1020);
+  Alcotest.(check bool) "nothing further to redo" false (Tx.recover t)
+
+let test_torn_recovered_by_next_update () =
+  let t = mk_tables () in
+  let (_ : int) = seed_cfg t in
+  Faults.arm
+    (Faults.Plan.At { point = Faults.Plan.Between_tary_and_bary; hit = 1 });
+  (match Tx.update t ~tary:[ (0x1010, 9) ] ~bary:[ (0, 9) ] with
+  | (_ : int) -> Alcotest.fail "armed kill never fired"
+  | exception Faults.Injected _ -> ());
+  Faults.disarm ();
+  (* the next updater — fresh CFG — recovers the torn predecessor
+     implicitly before installing its own *)
+  let (_ : int) = Tx.update t ~tary:[ (0x1020, 2) ] ~bary:[ (1, 2) ] in
+  Alcotest.(check bool) "journal consumed by next updater" true
+    (Tables.journal t = None);
+  Alcotest.check outcome "successor CFG live" Tx.Pass
+    (Tx.check t ~bary_index:1 ~target:0x1020)
+
+(* ---------- the pass path allocates nothing ---------- *)
+
+(* Minor-heap words per passing check, averaged over [n] calls: the
+   paper's check is two loads and a compare, and a closure or boxed
+   option built on the way to that compare shows up here as whole words
+   per call. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    if Sys.opaque_identity (f ()) <> Tx.Pass then Alcotest.fail "check failed"
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_pass_allocates_nothing () =
+  let n = 100_000 in
+  let t = mk_tables () in
+  let (_ : int) = seed_cfg t in
+  let site = Tx.site () in
+  (* warm the site: the first check misses and fills it *)
+  ignore (Tx.check_hoisted t site ~bary_index:0 ~target:0x1010);
+  let shs =
+    Shards.create ~shards:2 ~code_base:0x1000 ~capacity:256 ~bary_slots:8 ()
+  in
+  let (_ : int) =
+    Shards.update shs ~shard:1 ~tary:[ (0x1010, 3) ] ~bary:[ (0, 3) ]
+  in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call n f in
+      if w >= 1.0 then Alcotest.failf "%s: %.2f minor words per pass" name w)
+    [
+      ("Tx.check", fun () -> Tx.check t ~bary_index:0 ~target:0x1010);
+      ( "Tx.check_hoisted hit",
+        fun () -> Tx.check_hoisted t site ~bary_index:0 ~target:0x1010 );
+      ( "Shards.check",
+        fun () -> Shards.check shs ~shard:1 ~bary_index:0 ~target:0x1010 );
+    ];
+  let hits, misses = Tx.site_stats site in
+  Alcotest.(check (pair int int)) "every hoisted call hit" (n, 1) (hits, misses)
+
 (* ---------- the ABA guard and version wraparound (§5.2) ---------- *)
 
 let test_aba_guard_trips () =
@@ -381,6 +510,26 @@ let () =
           Alcotest.test_case "refresh" `Quick test_refresh_preserves_ecns;
           Alcotest.test_case "got hook" `Quick
             test_got_update_hook_runs_between_phases;
+        ] );
+      ( "outcomes",
+        [ Alcotest.test_case "pass/violation agreement" `Quick test_outcomes ]
+      );
+      ( "skew",
+        [
+          Alcotest.test_case "mid-install checks fail closed" `Quick
+            test_mid_install_skew;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "torn install redone explicitly" `Quick
+            test_torn_recovery;
+          Alcotest.test_case "next updater redoes torn install" `Quick
+            test_torn_recovered_by_next_update;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "passing checks allocate nothing" `Quick
+            test_pass_allocates_nothing;
         ] );
       ( "aba & wraparound",
         [

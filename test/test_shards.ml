@@ -11,8 +11,8 @@ open Idtables
 
 let outcome = Alcotest.testable Fmt.(any "outcome") ( = )
 
-let mk ?(stm = Stm.Tml) ?(shards = 4) () =
-  Shards.create ~stm ~shards ~code_base:0x1000 ~capacity:256 ~bary_slots:8 ()
+let mk ?(shards = 4) () =
+  Shards.create ~shards ~code_base:0x1000 ~capacity:256 ~bary_slots:8 ()
 
 (* One tiny CFG per shard: slot 0 reaches 0x1010 under a per-shard class. *)
 let seed_shard ?tag shs ~shard =
@@ -231,46 +231,36 @@ let test_wedged_reader_blocks_one_shard () =
 let test_kill_confinement () =
   (* while shard 0 sits torn and unrecovered, every other shard must
      keep serving checks and completing installs *)
-  List.iter
-    (fun stm ->
-      let shs = mk ~stm ~shards:4 () in
-      seed_all shs;
-      tear 0 shs;
-      Alcotest.(check bool) "shard 0 torn" true (Shards.torn shs ~shard:0);
-      for round = 1 to 25 do
-        for shard = 1 to 3 do
-          let ecn = 3 + shard in
-          let (_ : int) =
-            Shards.update shs ~shard
-              ~tary:[ (0x1010, ecn); (0x1040, 12) ]
-              ~bary:[ (0, ecn); (3, 12) ]
-          in
-          Alcotest.check outcome
-            (Printf.sprintf "round %d: shard %d serves checks" round shard)
-            Tx.Pass
-            (Shards.check shs ~shard ~bary_index:0 ~target:0x1010)
-        done
-      done;
-      (* the torn shard never resolves its skew to a wrong verdict: the
-         kill fired before the first slot write, so the only justifiable
-         Pass is the old CFG's own edge (the snapshot-validating
-         variants refuse even that while the sequence word sits odd) *)
-      (match
-         Shards.check ~max_retries:4 shs ~shard:0 ~bary_index:0 ~target:0x1010
-       with
-      | Tx.Pass when stm = Stm.Tml -> ()
-      | Tx.Retries_exhausted -> ()
-      | o ->
-        Alcotest.failf "torn shard check under %s resolved to %s" (Stm.name stm)
-          (match o with
-          | Tx.Pass -> "Pass"
-          | Tx.Violation -> "Violation"
-          | Tx.Retries_exhausted -> assert false));
-      (* and recovery — shard 0's own — restores service *)
-      Alcotest.(check bool) "recovered" true (Shards.recover shs ~shard:0);
-      Alcotest.check outcome "restored" Tx.Pass
-        (Shards.check shs ~shard:0 ~bary_index:2 ~target:0x1030))
-    Stm.all
+  let shs = mk ~shards:4 () in
+  seed_all shs;
+  tear 0 shs;
+  Alcotest.(check bool) "shard 0 torn" true (Shards.torn shs ~shard:0);
+  for round = 1 to 25 do
+    for shard = 1 to 3 do
+      let ecn = 3 + shard in
+      let (_ : int) =
+        Shards.update shs ~shard
+          ~tary:[ (0x1010, ecn); (0x1040, 12) ]
+          ~bary:[ (0, ecn); (3, 12) ]
+      in
+      Alcotest.check outcome
+        (Printf.sprintf "round %d: shard %d serves checks" round shard)
+        Tx.Pass
+        (Shards.check shs ~shard ~bary_index:0 ~target:0x1010)
+    done
+  done;
+  (* the torn shard never resolves its skew to a wrong verdict: the
+     kill fired before the first slot write, so the only justifiable
+     Pass is the old CFG's own edge *)
+  (match
+     Shards.check ~max_retries:4 shs ~shard:0 ~bary_index:0 ~target:0x1010
+   with
+  | Tx.Pass | Tx.Retries_exhausted -> ()
+  | Tx.Violation -> Alcotest.fail "torn shard check resolved to Violation");
+  (* and recovery — shard 0's own — restores service *)
+  Alcotest.(check bool) "recovered" true (Shards.recover shs ~shard:0);
+  Alcotest.check outcome "restored" Tx.Pass
+    (Shards.check shs ~shard:0 ~bary_index:2 ~target:0x1030)
 
 let () =
   Alcotest.run "shards"

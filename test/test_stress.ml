@@ -117,9 +117,9 @@ let test_loader_storm () =
   Alcotest.(check bool) "checkers probed throughout" true
     (r.Stress.rp_checks > 0)
 
-(* --- sharded torture: every STM variant under the same oracle --- *)
+(* --- sharded torture under the epoch-history oracle --- *)
 
-let sharded_scenario ~stm ~shards seed =
+let sharded_scenario ~shards seed =
   {
     (Stress.generate ~seed) with
     Stress.updates = 800;
@@ -129,30 +129,22 @@ let sharded_scenario ~stm ~shards seed =
     reclaimer = true;
     loader_loads = 0;
     shards;
-    stm;
   }
 
 let test_sharded_torture () =
-  List.iter
-    (fun stm ->
-      let r = Stress.run (sharded_scenario ~stm ~shards:2 0xB0A7L) in
-      check_no_anomalies r;
-      Alcotest.(check int)
-        (Printf.sprintf "per-shard tallies under %s" (Idtables.Stm.name stm))
-        2
-        (Array.length r.Stress.rp_shard_installs);
-      Array.iteri
-        (fun i n ->
-          if n < 1 then
-            Alcotest.failf "shard %d completed no installs under %s" i
-              (Idtables.Stm.name stm))
-        r.Stress.rp_shard_installs;
-      Alcotest.(check int)
-        "shard tallies sum to the total" r.Stress.rp_installs
-        (Array.fold_left ( + ) 0 r.Stress.rp_shard_installs);
-      Alcotest.(check bool) "shard-scoped kills injected" true
-        (r.Stress.rp_kills > 0))
-    Idtables.Stm.all
+  let r = Stress.run (sharded_scenario ~shards:2 0xB0A7L) in
+  check_no_anomalies r;
+  Alcotest.(check int) "per-shard tallies" 2
+    (Array.length r.Stress.rp_shard_installs);
+  Array.iteri
+    (fun i n ->
+      if n < 1 then Alcotest.failf "shard %d completed no installs" i)
+    r.Stress.rp_shard_installs;
+  Alcotest.(check int)
+    "shard tallies sum to the total" r.Stress.rp_installs
+    (Array.fold_left ( + ) 0 r.Stress.rp_shard_installs);
+  Alcotest.(check bool) "shard-scoped kills injected" true
+    (r.Stress.rp_kills > 0)
 
 let test_shard_scaling_smoke () =
   let s =
@@ -202,7 +194,7 @@ let () =
         ] );
       ( "shards",
         [
-          Alcotest.test_case "sharded torture, all STM variants" `Quick
+          Alcotest.test_case "sharded torture" `Quick
             test_sharded_torture;
           Alcotest.test_case "shard-scaling smoke" `Quick
             test_shard_scaling_smoke;

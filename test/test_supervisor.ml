@@ -307,22 +307,18 @@ let test_fleet_chaos () =
 (* ---- sharded fleets: fault domains and the per-shard breaker ---- *)
 
 let test_fleet_sharded () =
-  List.iter
-    (fun stm ->
-      let cfg = { (Fl.smoke ~seed:21L) with Fl.fc_shards = 2; fc_stm = stm } in
-      let r = Fl.run cfg in
-      check_fleet r;
-      Alcotest.(check int) "per-shard install tallies" 2
-        (Array.length r.Fl.fr_shard_installs);
-      Alcotest.(check int) "per-shard served tallies" 2
-        (Array.length r.Fl.fr_shard_served);
-      (* tenants are homed id mod shards, so both shards carry load *)
-      Array.iteri
-        (fun i n ->
-          if n < 1 then Alcotest.failf "shard %d served nothing" i)
-        r.Fl.fr_shard_served;
-      Alcotest.(check int) "no shard quarantined" 0 r.Fl.fr_shards_quarantined)
-    Idtables.Stm.all
+  let cfg = { (Fl.smoke ~seed:21L) with Fl.fc_shards = 2 } in
+  let r = Fl.run cfg in
+  check_fleet r;
+  Alcotest.(check int) "per-shard install tallies" 2
+    (Array.length r.Fl.fr_shard_installs);
+  Alcotest.(check int) "per-shard served tallies" 2
+    (Array.length r.Fl.fr_shard_served);
+  (* tenants are homed id mod shards, so both shards carry load *)
+  Array.iteri
+    (fun i n -> if n < 1 then Alcotest.failf "shard %d served nothing" i)
+    r.Fl.fr_shard_served;
+  Alcotest.(check int) "no shard quarantined" 0 r.Fl.fr_shards_quarantined
 
 let test_shard_breaker_confines () =
   (* hammer shard 1's tenants (ids 1, 3, 5 under 2 shards) with
@@ -396,7 +392,7 @@ let () =
             test_fleet_smoke;
           Alcotest.test_case "64-tenant chaos acceptance" `Slow
             test_fleet_chaos;
-          Alcotest.test_case "sharded fleet, all STM variants" `Quick
+          Alcotest.test_case "sharded fleet" `Quick
             test_fleet_sharded;
           Alcotest.test_case "shard breaker confines the blast" `Quick
             test_shard_breaker_confines;

@@ -327,7 +327,7 @@ let test_backoff_jitter_deterministic () =
 (* A jittered check transaction still decides correctly through a retry
    storm: version-skew the tables by hand, let the check spin, and
    complete the install from another "updater". *)
-let test_check_with_jitter () =
+let test_jittered_check () =
   let t =
     Idtables.Tables.create ~code_base:0 ~capacity:8 ~bary_slots:1 ()
   in
@@ -375,6 +375,6 @@ let () =
             test_backoff_unjittered;
           Alcotest.test_case "jitter deterministic per seed" `Quick
             test_backoff_jitter_deterministic;
-          Alcotest.test_case "check with jitter" `Quick test_check_with_jitter;
+          Alcotest.test_case "check with jitter" `Quick test_jittered_check;
         ] );
     ]
