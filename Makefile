@@ -1,5 +1,5 @@
 .PHONY: all check faults test bench bench-json telemetry torture fuzz \
-	fuzz-replay redteam redteam-replay fleet clean
+	fuzz-replay redteam redteam-replay fleet loc clean
 
 all:
 	dune build
@@ -74,6 +74,11 @@ redteam-replay:
 # on any oracle anomaly, unrecovered tenant, or wedged quiescence
 fleet:
 	dune exec --profile ci bin/mcfi_cli.exe -- fleet --smoke --seed 11
+
+# code lines per lib/ library and for bin/: blanks and comments (nested
+# ones included) left out, string literals counted as code
+loc:
+	@python3 tools/loc.py
 
 clean:
 	dune clean

@@ -432,13 +432,14 @@ let torture_cmd =
            ~doc:"sustained run: several scenarios, each with the full \
                  acceptance dimensions and a loader storm")
   in
+  let count = Supervisor.Cli.count ~min:1 in
   let checkers =
-    Arg.(value & opt (some int) None & info [ "checkers" ]
-           ~doc:"override: checker domains")
+    Arg.(value & opt (some (count "checker count")) None
+         & info [ "checkers" ] ~doc:"override: checker domains")
   in
   let updaters =
-    Arg.(value & opt (some int) None & info [ "updaters" ]
-           ~doc:"override: updater domains")
+    Arg.(value & opt (some (count "updater count")) None
+         & info [ "updaters" ] ~doc:"override: updater domains")
   in
   let updates =
     Arg.(value & opt (some int) None & info [ "updates" ]
@@ -465,18 +466,9 @@ let torture_cmd =
                  flight-recorder trigger (injected kill, oracle anomaly, \
                  failed check, ...); replay them with $(b,mcfi forensics)")
   in
-  let dispatch_conv =
-    let parse s =
-      match Mcfi_runtime.Machine.dispatch_of_string s with
-      | Ok v -> Ok v
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun ppf d -> Fmt.string ppf (Mcfi_runtime.Machine.dispatch_name d) )
-  in
-  let dispatch =
-    Arg.(value & opt (some dispatch_conv) None & info [ "dispatch" ]
+  let hoisted =
+    Arg.(value & opt (some (enum [ ("byte", false); ("threaded", true) ])) None
+         & info [ "dispatch" ]
            ~docv:"ENGINE"
            ~doc:"override: the check execution path — $(b,byte) (a full \
                  table read per check) or $(b,threaded) (the threaded \
@@ -484,12 +476,13 @@ let torture_cmd =
                  revalidated on the shard sequence word alone)")
   in
   let shards =
-    Arg.(value & opt (some Supervisor.Cli.shards_conv) None & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt (some (count "shard count")) None
+         & info [ "shards" ] ~docv:"N"
            ~doc:"override: split the tables into N independently versioned \
                  shard fault domains (default 1)")
   in
   let torture seed scenarios long checkers updaters updates kill_every loads
-      shards dispatch telemetry forensics =
+      shards hoisted telemetry forensics =
     if telemetry then Telemetry.enable ();
     if forensics <> None then Obs.Flightrec.set_dir forensics;
     let override v o = Option.value o ~default:v in
@@ -513,11 +506,7 @@ let torture_cmd =
         kill_every = override sc.Stress.kill_every kill_every;
         loader_loads = override sc.Stress.loader_loads loads;
         shards = override sc.Stress.shards shards;
-        hoisted =
-          (match dispatch with
-          | None -> sc.Stress.hoisted
-          | Some Mcfi_runtime.Machine.Byte -> false
-          | Some Mcfi_runtime.Machine.Threaded -> true);
+        hoisted = override sc.Stress.hoisted hoisted;
       }
     in
     let n = if long then max 3 scenarios else scenarios in
@@ -548,7 +537,7 @@ let torture_cmd =
        ~doc:"multi-domain torture of the transaction and linking protocols, \
              validated by the epoch-history oracle")
     Term.(const torture $ seed $ scenarios $ long $ checkers $ updaters
-          $ updates $ kill_every $ loads $ shards $ dispatch $ telemetry
+          $ updates $ kill_every $ loads $ shards $ hoisted $ telemetry
           $ forensics)
 
 (* ---- forensics: validate and replay flight-recorder bundles ---- *)

@@ -139,6 +139,9 @@ let pp_report ppf r =
    healthy mix of passes and violations. *)
 type cfg = { c_bary : int array; c_tary : int array }
 
+(* every harness places its targets at this one code base *)
+let rig_base = 0x1000
+
 let ecn_space = 3
 
 let gen_cfg p ~slots ~targets =
@@ -152,10 +155,10 @@ let gen_cfg p ~slots ~targets =
 let allows cfg ~slot ~tidx =
   tidx >= 0 && cfg.c_tary.(tidx) >= 0 && cfg.c_tary.(tidx) = cfg.c_bary.(slot)
 
-let tary_of ~base cfg =
+let tary_of cfg =
   let acc = ref [] in
   Array.iteri
-    (fun i e -> if e >= 0 then acc := (base + (4 * i), e) :: !acc)
+    (fun i e -> if e >= 0 then acc := (rig_base + (4 * i), e) :: !acc)
     cfg.c_tary;
   !acc
 
@@ -188,10 +191,6 @@ let make_history size =
     h_completed = Atomic.make 0;
     h_overflow = Atomic.make false;
   }
-
-let history_began h = Atomic.get h.h_began
-let history_completed h = Atomic.get h.h_completed
-let history_overflowed h = Atomic.get h.h_overflow
 
 let observer h =
   {
@@ -226,34 +225,20 @@ let window_justifies h pool ~slot ~tidx ~c0 ~b1 ~pass =
   go lo
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain tallies                                                  *)
+(* Anomaly sinks                                                       *)
 
-type tally = {
-  mutable y_checks : int;
-  mutable y_passes : int;
-  mutable y_violations : int;
-  mutable y_exhausted : int;
-  mutable y_anomaly_count : int;
-  mutable y_anomalies : anomaly list; (* capped; newest first *)
-}
+(* one per domain, so recording takes no lock; keeps the first few *)
+type sink = { mutable k_count : int; mutable k_kept : anomaly list }
 
-let new_tally () =
-  {
-    y_checks = 0;
-    y_passes = 0;
-    y_violations = 0;
-    y_exhausted = 0;
-    y_anomaly_count = 0;
-    y_anomalies = [];
-  }
-
+let sink () = { k_count = 0; k_kept = [] }
+let anomalies k = k.k_kept
 let max_anomalies_kept = 4
 
-let record_anomaly y ~seed kind detail =
-  y.y_anomaly_count <- y.y_anomaly_count + 1;
-  if y.y_anomaly_count <= max_anomalies_kept then
-    y.y_anomalies <-
-      { an_seed = seed; an_kind = kind; an_detail = detail } :: y.y_anomalies;
+let record_anomaly k ~seed kind detail =
+  k.k_count <- k.k_count + 1;
+  if k.k_count <= max_anomalies_kept then
+    k.k_kept <-
+      { an_seed = seed; an_kind = kind; an_detail = detail } :: k.k_kept;
   (* the choke point every oracle verdict passes through: exactly one
      forensic bundle per recorded anomaly (the trigger is uncapped) *)
   if Obs.Flightrec.recording () then
@@ -269,18 +254,267 @@ let record_anomaly y ~seed kind detail =
          ())
 
 (* ------------------------------------------------------------------ *)
+(* The shared-table rig                                                *)
+
+type rig = {
+  r_seed : int64;
+  r_shs : Shards.t;
+  r_hists : history array; (* install log, one per shard *)
+  r_pool : cfg array;
+  r_slots : int;
+  r_targets : int;
+  r_across : bool; (* some installs commit on two shards *)
+}
+
+let begin_run ~seed ~hoisted =
+  Faults.disarm ();
+  Faults.Stats.reset ();
+  (* every spawned domain derives its own backoff jitter stream from
+     this seed; re-seeding also invalidates streams cached by domains a
+     previous run left behind *)
+  Tx.seed_domain_jitter seed;
+  (* the harness owns the process-global trace while it runs, exactly as
+     it owns [Faults.Stats] *)
+  if Telemetry.enabled () then Telemetry.reset ();
+  (* ... and the flight recorder: rewinding here makes the run's bundle
+     accounting exact (one per anomaly, one per kill).  The output
+     directory and caps survive the reset. *)
+  if Obs.Flightrec.recording () then Obs.Flightrec.reset ();
+  (* trace events from this run carry the engine the checks model (the
+     hoisted path is the threaded-dispatch analogue) *)
+  Telemetry.set_dispatch_hint
+    (if hoisted then Telemetry.Event.dispatch_threaded
+     else Telemetry.Event.dispatch_byte)
+
+let create ~seed ~pool_prng ~cfgs ~slots ~targets ~shards ~log ~across =
+  let pool = Array.init cfgs (fun _ -> gen_cfg pool_prng ~slots ~targets) in
+  let shs =
+    Shards.create ~shards ~code_base:rig_base ~capacity:(4 * targets)
+      ~bary_slots:slots ()
+  in
+  let hists = Array.init shards (fun _ -> make_history log) in
+  Array.iteri
+    (fun i h -> Shards.set_observer shs ~shard:i (Some (observer h)))
+    hists;
+  (* an initial complete install per shard so every check window is
+     non-empty on every shard *)
+  for i = 0 to shards - 1 do
+    let _v0 : int =
+      Shards.update ~tag:0 shs ~shard:i
+        ~tary:(tary_of pool.(0))
+        ~bary:(bary_of pool.(0))
+    in
+    ()
+  done;
+  {
+    r_seed = seed;
+    r_shs = shs;
+    r_hists = hists;
+    r_pool = pool;
+    r_slots = slots;
+    r_targets = targets;
+    r_across = across;
+  }
+
+let shards r = r.r_shs
+let completed r i = Atomic.get r.r_hists.(i).h_completed
+
+let unjustified r k h ~pass ~shard ~slot ~tidx ~c0 ~b1 ~label =
+  let lo = max 0 (c0 - 1) in
+  let hi = max 0 (min (b1 - 1) (Array.length h.h_version - 1)) in
+  record_anomaly k ~seed:r.r_seed
+    (if pass then "unjustified-pass" else "unjustified-violation")
+    (Printf.sprintf
+       "%s: %s: shard=%d slot=%d tidx=%d window=[%d,%d] versions=[%d,%d]" label
+       (if pass then "no live CFG version allows this edge"
+        else "every live CFG version allows this edge")
+       shard slot tidx lo (b1 - 1) h.h_version.(lo) h.h_version.(hi))
+
+let check r k fr ~shard ~watchdog ~jitter ~retries ?on_retry ?sites ~label
+    prng =
+  let slot = Prng.int prng r.r_slots in
+  let kind = Prng.int prng 10 in
+  let tidx, target =
+    if kind = 0 then (* misaligned probe: can never be a valid target *)
+      (-1, rig_base + (4 * Prng.int prng r.r_targets) + 2)
+    else if kind = 1 then (* past the covered code: likewise *)
+      (-1, rig_base + (4 * r.r_targets))
+    else
+      let i = Prng.int prng r.r_targets in
+      (i, rig_base + (4 * i))
+  in
+  let h = r.r_hists.(shard) in
+  let c0 = Atomic.get h.h_completed in
+  retries := 0;
+  let out =
+    match sites with
+    | Some st ->
+      Shards.check_hoisted ~watchdog ~jitter ?on_retry r.r_shs ~shard
+        st.(slot) ~bary_index:slot ~target
+    | None ->
+      Shards.check ~watchdog ~jitter ?on_retry r.r_shs ~shard
+        ~bary_index:slot ~target
+  in
+  let b1 = Atomic.get h.h_began in
+  if Obs.Flightrec.recording () then
+    Telemetry.bump fr
+      ~outcome:
+        (match out with
+        | Tx.Pass -> 0
+        | Tx.Violation -> 1
+        | Tx.Retries_exhausted -> 2)
+      ~retries:!retries;
+  (match out with
+  | Tx.Pass | Tx.Violation ->
+    let pass = out = Tx.Pass in
+    if not (window_justifies h r.r_pool ~slot ~tidx ~c0 ~b1 ~pass) then
+      unjustified r k h ~pass ~shard ~slot ~tidx ~c0 ~b1 ~label
+  | Tx.Retries_exhausted -> ());
+  out
+
+(* A mid-install kill scoped to [shard] (or, when the rig commits
+   across shards, between two shard commits on the next shard). *)
+let kill_plan r prng ~shard =
+  let nsh = Shards.count r.r_shs in
+  if r.r_across && nsh > 1 then
+    match Prng.int prng 3 with
+    | 0 ->
+      Faults.Plan.At_shard
+        {
+          shard;
+          point = Faults.Plan.Nth_tary_write;
+          hit = 1 + Prng.int prng r.r_targets;
+        }
+    | 1 ->
+      Faults.Plan.At_shard
+        { shard; point = Faults.Plan.Between_tary_and_bary; hit = 1 }
+    | _ ->
+      (* dies between shard commits: the earlier shard stays committed,
+         this one is never touched *)
+      Faults.Plan.At_shard
+        {
+          shard = (shard + 1) mod nsh;
+          point = Faults.Plan.Between_shard_commits;
+          hit = 1;
+        }
+  else
+    let point, hit =
+      if Prng.bool prng then
+        (Faults.Plan.Nth_tary_write, 1 + Prng.int prng r.r_targets)
+      else (Faults.Plan.Between_tary_and_bary, 1)
+    in
+    if nsh = 1 then Faults.Plan.At { point; hit }
+    else Faults.Plan.At_shard { shard; point; hit }
+
+type installed = Installed | Killed | Exhausted
+
+let install r k ~kill ?(cross = false) ~shard ~label prng ci =
+  (* a one-shot plan: it fires inside whichever installer crosses the
+     point next (usually this one, within this very update), and that
+     installer is the corpse — its journal left for the shard's next
+     lock holder to redo *)
+  if kill then Faults.arm (kill_plan r prng ~shard);
+  let tary = tary_of r.r_pool.(ci) in
+  let bary = bary_of r.r_pool.(ci) in
+  match
+    if cross then
+      let nsh = Shards.count r.r_shs in
+      let other = (shard + 1 + Prng.int prng (nsh - 1)) mod nsh in
+      ignore
+        (Shards.update_multi_full ~tag:ci r.r_shs
+           [ (shard, (tary, bary)); (other, (tary, bary)) ])
+    else ignore (Shards.update ~tag:ci r.r_shs ~shard ~tary ~bary)
+  with
+  | () -> Installed
+  | exception Faults.Injected _ ->
+    (* one bundle per injected kill (uncapped): the shard-state snapshot
+       shows which journal the next lock holder must redo *)
+    if Obs.Flightrec.recording () then
+      ignore
+        (Obs.Flightrec.record_trigger Obs.Flightrec.Injected_kill
+           ~reason:
+             (Printf.sprintf "%s killed mid-install of cfg %d (shard %d)" label
+                ci shard)
+           ~extra:
+             [
+               ("who", Json.Str label);
+               ("cfg", Json.num ci);
+               ("shard", Json.num shard);
+               ("shards", Shards.states_json r.r_shs);
+             ]
+           ());
+    Killed
+  | exception Tx.Version_space_exhausted ->
+    record_anomaly k ~seed:r.r_seed "version-space-exhausted"
+      (Printf.sprintf "%s (shard %d) exhausted versions installing cfg %d"
+         label shard ci);
+    Exhausted
+
+let reclaim r =
+  for i = 0 to Shards.count r.r_shs - 1 do
+    let t = Shards.tables r.r_shs i in
+    if Tables.updates_since_quiesce t > 0 then
+      ignore (Tables.quiesce_attempt t)
+  done
+
+let finish r =
+  Array.iteri (fun i _ -> Shards.set_observer r.r_shs ~shard:i None) r.r_hists;
+  let audit = ref [] in
+  let flag kind detail =
+    audit :=
+      { an_seed = r.r_seed; an_kind = kind; an_detail = detail } :: !audit
+  in
+  Array.iteri
+    (fun i h ->
+      if Atomic.get h.h_overflow then
+        flag "history-overflow"
+          (Printf.sprintf "shard %d: more installs began than the log holds" i);
+      let began = Atomic.get h.h_began in
+      let completed = Atomic.get h.h_completed in
+      if completed <> began then
+        flag "unbalanced-install-log"
+          (Printf.sprintf "shard %d: %d installs began but %d completed" i
+             began completed))
+    r.r_hists;
+  let quiesces = ref 0 in
+  for i = 0 to Shards.count r.r_shs - 1 do
+    quiesces := !quiesces + Tables.quiesce_events (Shards.tables r.r_shs i)
+  done;
+  (!audit, Array.map (fun h -> Atomic.get h.h_completed) r.r_hists, !quiesces)
+
+(* ------------------------------------------------------------------ *)
 (* Component A: the table torture                                      *)
 
-let torture_base = 0x1000
+type tally = {
+  mutable y_checks : int;
+  mutable y_passes : int;
+  mutable y_violations : int;
+  mutable y_exhausted : int;
+  y_sink : sink;
+}
+
+let new_tally () =
+  {
+    y_checks = 0;
+    y_passes = 0;
+    y_violations = 0;
+    y_exhausted = 0;
+    y_sink = sink ();
+  }
+
+let count y = function
+  | Tx.Pass -> y.y_passes <- y.y_passes + 1
+  | Tx.Violation -> y.y_violations <- y.y_violations + 1
+  | Tx.Retries_exhausted -> y.y_exhausted <- y.y_exhausted + 1
 
 let m_hoist_site_hits = Telemetry.Metrics.counter "mcfi_hoist_site_hits_total"
 
 let m_hoist_site_misses =
   Telemetry.Metrics.counter "mcfi_hoist_site_misses_total"
 
-let torture_checker ~stop ~shs ~shard ~h ~pool ~prng ~sc () =
-  let rd = Shards.register_reader shs ~shard in
-  let wd =
+let torture_checker ~stop ~r ~shard ~prng ~sc ~label () =
+  let rd = Shards.register_reader r.r_shs ~shard in
+  let watchdog =
     { Tx.wd_deadline = sc.watchdog_deadline; wd_on_expire = Tx.Wait_for_updater }
   in
   (* the backoff jitter stream is derived in the spawned domain itself:
@@ -307,61 +541,12 @@ let torture_checker ~stop ~shs ~shard ~h ~pool ~prng ~sc () =
   while not (Atomic.get stop) do
     (* branch boundary: provably outside any check transaction *)
     Tables.reader_quiescent rd;
-    let slot = Prng.int prng sc.slots in
-    let kind = Prng.int prng 10 in
-    let tidx, target =
-      if kind = 0 then (* misaligned probe: can never be a valid target *)
-        (-1, torture_base + (4 * Prng.int prng sc.targets) + 2)
-      else if kind = 1 then (* past the covered code: likewise *)
-        (-1, torture_base + (4 * sc.targets))
-      else
-        let i = Prng.int prng sc.targets in
-        (i, torture_base + (4 * i))
-    in
-    let c0 = Atomic.get h.h_completed in
-    retries := 0;
-    let out =
-      match sites with
-      | Some st ->
-        Shards.check_hoisted ~watchdog:wd ~jitter ?on_retry shs ~shard
-          st.(slot) ~bary_index:slot ~target
-      | None ->
-        Shards.check ~watchdog:wd ~jitter ?on_retry shs ~shard
-          ~bary_index:slot ~target
-    in
-    let b1 = Atomic.get h.h_began in
     y.y_checks <- y.y_checks + 1;
-    if Obs.Flightrec.recording () then
-      Telemetry.bump fr
-        ~outcome:
-          (match out with
-          | Tx.Pass -> 0
-          | Tx.Violation -> 1
-          | Tx.Retries_exhausted -> 2)
-        ~retries:!retries;
-    let detail kind_s =
-      Printf.sprintf
-        "%s: shard=%d slot=%d tidx=%d window=[%d,%d] versions=[%d,%d]" kind_s
-        shard slot tidx
-        (max 0 (c0 - 1))
-        (b1 - 1)
-        (h.h_version.(max 0 (c0 - 1)))
-        (h.h_version.(max 0 (min (b1 - 1) (Array.length h.h_version - 1))))
-    in
-    match out with
-    | Tx.Pass ->
-      y.y_passes <- y.y_passes + 1;
-      if not (window_justifies h pool ~slot ~tidx ~c0 ~b1 ~pass:true) then
-        record_anomaly y ~seed:sc.seed "unjustified-pass"
-          (detail "no live CFG version allows this edge")
-    | Tx.Violation ->
-      y.y_violations <- y.y_violations + 1;
-      if not (window_justifies h pool ~slot ~tidx ~c0 ~b1 ~pass:false) then
-        record_anomaly y ~seed:sc.seed "unjustified-violation"
-          (detail "every live CFG version allows this edge")
-    | Tx.Retries_exhausted -> y.y_exhausted <- y.y_exhausted + 1
+    count y
+      (check r y.y_sink fr ~shard ~watchdog ~jitter ~retries ?on_retry ?sites
+         ~label prng)
   done;
-  Shards.unregister_reader shs ~shard rd;
+  Shards.unregister_reader r.r_shs ~shard rd;
   (* hoisted-site cache traffic, aggregated into the metrics registry
      (the torture analogue of the fused superinstructions' hoist cache;
      [Metrics.add] is gated on telemetry being enabled) *)
@@ -385,141 +570,53 @@ let torture_checker ~stop ~shs ~shard ~h ~pool ~prng ~sc () =
    shard's oracle still sees a full install of a pool CFG *)
 let cross_shard_every = 11
 
-let torture_updater ~shs ~pool ~prng ~sc ~n ~uid () =
-  let nsh = Shards.count shs in
-  let home = uid mod nsh in
+let torture_updater ~r ~prng ~sc ~n ~uid () =
+  let nsh = Shards.count r.r_shs in
+  let k = sink () in
+  let label = Printf.sprintf "updater %d" uid in
   let kills = ref 0 in
-  let fatal = ref [] in
   for j = 1 to n do
-    let ci = Prng.int prng (Array.length pool) in
-    if sc.kill_every > 0 && uid = 0 && j mod sc.kill_every = 0 then begin
-      (* arm a one-shot mid-install kill; it fires inside whichever
-         updater crosses the point next (usually this one, within this
-         very update) and leaves at most one shard's journal for that
-         shard's next lock holder to redo *)
-      let plan =
-        if nsh = 1 then
-          let point, hit =
-            if Prng.bool prng then
-              (Faults.Plan.Nth_tary_write, 1 + Prng.int prng sc.targets)
-            else (Faults.Plan.Between_tary_and_bary, 1)
-          in
-          Faults.Plan.At { point; hit }
-        else
-          match Prng.int prng 3 with
-          | 0 ->
-            Faults.Plan.At_shard
-              {
-                shard = home;
-                point = Faults.Plan.Nth_tary_write;
-                hit = 1 + Prng.int prng sc.targets;
-              }
-          | 1 ->
-            Faults.Plan.At_shard
-              { shard = home; point = Faults.Plan.Between_tary_and_bary; hit = 1 }
-          | _ ->
-            (* dies between shard commits: the earlier shard stays
-               committed, this one is never touched *)
-            Faults.Plan.At_shard
-              {
-                shard = (home + 1) mod nsh;
-                point = Faults.Plan.Between_shard_commits;
-                hit = 1;
-              }
-      in
-      Faults.arm plan
-    end;
-    let tary = tary_of ~base:torture_base pool.(ci) in
-    let bary = bary_of pool.(ci) in
+    let ci = Prng.int prng (Array.length r.r_pool) in
     match
-      if nsh > 1 && j mod cross_shard_every = 0 then
-        let other = (home + 1 + Prng.int prng (nsh - 1)) mod nsh in
-        ignore
-          (Shards.update_multi_full ~tag:ci shs
-             [ (home, (tary, bary)); (other, (tary, bary)) ])
-      else ignore (Shards.update ~tag:ci shs ~shard:home ~tary ~bary)
+      install r k prng ci ~shard:(uid mod nsh) ~label
+        ~kill:(sc.kill_every > 0 && uid = 0 && j mod sc.kill_every = 0)
+        ~cross:(nsh > 1 && j mod cross_shard_every = 0)
     with
-    | () -> ()
-    | exception Faults.Injected _ ->
-      incr kills;
-      (* one bundle per injected kill (uncapped): the shard-state
-         snapshot shows which journal the next lock holder must redo *)
-      if Obs.Flightrec.recording () then
-        ignore
-          (Obs.Flightrec.record_trigger Obs.Flightrec.Injected_kill
-             ~reason:
-               (Printf.sprintf "updater %d killed mid-install at update %d"
-                  uid j)
-             ~extra:
-               [
-                 ("updater", Json.num uid);
-                 ("update", Json.num j);
-                 ("shards", Shards.states_json shs);
-               ]
-             ())
-    | exception Tx.Version_space_exhausted ->
-      fatal :=
-        {
-          an_seed = sc.seed;
-          an_kind = "version-space-exhausted";
-          an_detail =
-            Printf.sprintf
-              "updater %d (shard %d) exhausted versions at its update %d" uid
-              home j;
-        }
-        :: !fatal
+    | Killed -> incr kills
+    | Installed | Exhausted -> ()
   done;
-  (!kills, !fatal)
+  (!kills, anomalies k)
 
-let reclaimer_loop ~stop ~shs () =
-  let nsh = Shards.count shs in
-  while not (Atomic.get stop) do
-    for i = 0 to nsh - 1 do
-      let t = Shards.tables shs i in
-      if Tables.updates_since_quiesce t > 0 then
-        ignore (Tables.quiesce_attempt t)
-    done;
-    Tx.backoff 4
-  done
-
-let run_torture sc master pool =
-  let nsh = max 1 sc.shards in
-  let shs =
-    Shards.create ~shards:nsh ~code_base:torture_base
-      ~capacity:(4 * sc.targets) ~bary_slots:sc.slots ()
-  in
+let run_torture sc master pool_prng =
+  let nsh = sc.shards in
   (* the cross-shard path commits one update on two shards, and each
      shard takes one seeding install: size every shard's log for the
      worst case *)
-  let hists =
-    Array.init nsh (fun _ -> make_history ((2 * sc.updates) + 64 + nsh))
+  let r =
+    create ~seed:sc.seed ~pool_prng ~cfgs:(max 1 sc.cfgs) ~slots:sc.slots
+      ~targets:sc.targets ~shards:nsh
+      ~log:((2 * sc.updates) + 64 + nsh)
+      ~across:true
   in
-  Array.iteri
-    (fun i h -> Shards.set_observer shs ~shard:i (Some (observer h)))
-    hists;
-  (* an initial complete install per shard so every check window is
-     non-empty on every shard *)
-  for i = 0 to nsh - 1 do
-    let _v0 : int =
-      Shards.update ~tag:0 shs ~shard:i
-        ~tary:(tary_of ~base:torture_base pool.(0))
-        ~bary:(bary_of pool.(0))
-    in
-    ()
-  done;
   let chk_prngs = Array.init sc.checkers (fun _ -> Prng.split master) in
   let upd_prngs = Array.init sc.updaters (fun _ -> Prng.split master) in
   let stop = Atomic.make false in
   let checkers =
     Array.mapi
       (fun i prng ->
-        let shard = i mod nsh in
         Domain.spawn
-          (torture_checker ~stop ~shs ~shard ~h:hists.(shard) ~pool ~prng ~sc))
+          (torture_checker ~stop ~r ~shard:(i mod nsh) ~prng ~sc
+             ~label:(Printf.sprintf "checker %d" i)))
       chk_prngs
   in
   let reclaimer =
-    if sc.reclaimer then Some (Domain.spawn (reclaimer_loop ~stop ~shs))
+    if sc.reclaimer then
+      Some
+        (Domain.spawn (fun () ->
+             while not (Atomic.get stop) do
+               reclaim r;
+               Tx.backoff 4
+             done))
     else None
   in
   let per = sc.updates / sc.updaters in
@@ -528,57 +625,22 @@ let run_torture sc master pool =
         let n =
           if uid = 0 then sc.updates - (per * (sc.updaters - 1)) else per
         in
-        Domain.spawn
-          (torture_updater ~shs ~pool ~prng:upd_prngs.(uid) ~sc ~n ~uid))
+        Domain.spawn (torture_updater ~r ~prng:upd_prngs.(uid) ~sc ~n ~uid))
   in
   let upd_results = Array.map Domain.join updaters in
   Faults.disarm ();
   (* the last kill may have left a torn install on some shard: complete
      it so that shard's log balances and its tables end consistent *)
-  ignore (Shards.recover_all shs);
+  ignore (Shards.recover_all r.r_shs);
   Atomic.set stop true;
   let chk_results = Array.map Domain.join checkers in
   Option.iter Domain.join reclaimer;
-  for i = 0 to nsh - 1 do
-    Shards.set_observer shs ~shard:i None
-  done;
+  let audit, shard_installs, quiesces = finish r in
   let kills = Array.fold_left (fun acc (k, _) -> acc + k) 0 upd_results in
   let fatal =
-    ref
-      (Array.fold_left (fun acc (_, f) -> List.rev_append f acc) [] upd_results)
+    Array.fold_left (fun acc (_, f) -> List.rev_append f acc) audit upd_results
   in
-  Array.iteri
-    (fun i h ->
-      if Atomic.get h.h_overflow then
-        fatal :=
-          {
-            an_seed = sc.seed;
-            an_kind = "history-overflow";
-            an_detail =
-              Printf.sprintf
-                "shard %d: more installs began than the scenario allows" i;
-          }
-          :: !fatal;
-      let completed = Atomic.get h.h_completed in
-      let began = Atomic.get h.h_began in
-      if completed <> began then
-        fatal :=
-          {
-            an_seed = sc.seed;
-            an_kind = "unbalanced-install-log";
-            an_detail =
-              Printf.sprintf "shard %d: %d installs began but %d completed" i
-                began completed;
-          }
-          :: !fatal)
-    hists;
-  let shard_installs = Array.map (fun h -> Atomic.get h.h_completed) hists in
-  let installs = Array.fold_left ( + ) 0 shard_installs in
-  let quiesces = ref 0 in
-  for i = 0 to nsh - 1 do
-    quiesces := !quiesces + Tables.quiesce_events (Shards.tables shs i)
-  done;
-  (chk_results, installs, kills, !fatal, !quiesces, shard_installs)
+  (chk_results, kills, fatal, quiesces, shard_installs)
 
 (* ------------------------------------------------------------------ *)
 (* Component B: the loader storm                                       *)
@@ -628,25 +690,24 @@ let storm_checker ~stop ~t ~load_seq ~slot ~allowed ~denied ~sc ~prng () =
     let out = Tx.check ~watchdog:wd t ~bary_index:slot ~target in
     let s1 = Atomic.get load_seq in
     y.y_checks <- y.y_checks + 1;
+    count y out;
     match out with
     | Tx.Pass ->
-      y.y_passes <- y.y_passes + 1;
       if probe_denied then
-        record_anomaly y ~seed:sc.seed "storm-denied-pass"
+        record_anomaly y.y_sink ~seed:sc.seed "storm-denied-pass"
           (Printf.sprintf "never-valid target 0x%x passed its check" target)
     | Tx.Violation ->
-      y.y_violations <- y.y_violations + 1;
       (* a failed load's rollback scrubs the tables mid-restore, so a
          stable-edge violation is only anomalous outside any load
          window: the seqlock parity must show no load began or ended
          around the check *)
       if (not probe_denied) && s0 = s1 && s0 land 1 = 0 then
-        record_anomaly y ~seed:sc.seed "storm-stable-edge-violation"
+        record_anomaly y.y_sink ~seed:sc.seed "storm-stable-edge-violation"
           (Printf.sprintf
              "allowed edge slot=%d target=0x%x violated with no load in \
               flight"
              slot target)
-    | Tx.Retries_exhausted -> y.y_exhausted <- y.y_exhausted + 1
+    | Tx.Retries_exhausted -> ()
   done;
   Tables.unregister_reader t rd;
   y
@@ -769,34 +830,13 @@ let run sc =
       shards = max 1 sc.shards;
     }
   in
-  Faults.disarm ();
-  Faults.Stats.reset ();
-  (* every spawned domain derives its own backoff jitter stream from
-     this seed; re-seeding also invalidates streams cached by domains a
-     previous run left behind *)
-  Tx.seed_domain_jitter sc.seed;
-  (* the harness owns the process-global trace while it runs, exactly as
-     it owns [Faults.Stats] *)
-  if Telemetry.enabled () then Telemetry.reset ();
-  (* ... and the flight recorder: rewinding here makes the run's bundle
-     accounting exact (one per anomaly, one per kill).  The output
-     directory and caps survive the reset. *)
-  if Obs.Flightrec.recording () then Obs.Flightrec.reset ();
-  (* trace events from this run carry the engine the scenario drives
-     (the hoisted torture path is the threaded-dispatch analogue) *)
-  Telemetry.set_dispatch_hint
-    (if sc.hoisted then Telemetry.Event.dispatch_threaded
-     else Telemetry.Event.dispatch_byte);
+  begin_run ~seed:sc.seed ~hoisted:sc.hoisted;
   let t0 = Unix.gettimeofday () in
   let master = Prng.create sc.seed in
   let pool_prng = Prng.split master in
-  let pool =
-    Array.init (max 1 sc.cfgs) (fun _ ->
-        gen_cfg pool_prng ~slots:sc.slots ~targets:sc.targets)
-  in
-  let tort_tallies, installs, kills, tort_anoms, quiesces, shard_installs =
-    if sc.updates > 0 then run_torture sc master pool
-    else (empty_tallies, 0, 0, [], 0, Array.make sc.shards 0)
+  let tort_tallies, kills, tort_anoms, quiesces, shard_installs =
+    if sc.updates > 0 then run_torture sc master pool_prng
+    else (empty_tallies, 0, [], 0, Array.make sc.shards 0)
   in
   let storm_tallies, loads_ok, loads_failed, storm_anoms =
     if sc.loader_loads > 0 then run_storm sc (Prng.split master)
@@ -808,7 +848,7 @@ let run sc =
   let anomalies =
     tort_anoms @ storm_anoms
     @ Array.fold_left
-        (fun acc y -> List.rev_append y.y_anomalies acc)
+        (fun acc y -> List.rev_append (anomalies y.y_sink) acc)
         [] tallies
   in
   (* an anomaly stops being a bare counter: ship the merged trace tail
@@ -828,7 +868,7 @@ let run sc =
     rp_passes = sum (fun y -> y.y_passes);
     rp_violations = sum (fun y -> y.y_violations);
     rp_exhausted = sum (fun y -> y.y_exhausted);
-    rp_installs = installs;
+    rp_installs = Array.fold_left ( + ) 0 shard_installs;
     rp_shard_installs = shard_installs;
     rp_kills = kills;
     rp_recoveries = stats.Faults.Stats.recoveries;
@@ -867,7 +907,7 @@ let throughput_checker ~stop ~installing ~t ~prng ~targets ~slots () =
   while not (Atomic.get stop) do
     Tables.reader_quiescent rd;
     let slot = Prng.int prng slots in
-    let target = torture_base + (4 * Prng.int prng targets) in
+    let target = rig_base + (4 * Prng.int prng targets) in
     let overlapped = Atomic.get installing in
     ignore (Tx.check ~watchdog:wd ~jitter t ~bary_index:slot ~target);
     incr checks;
@@ -881,7 +921,7 @@ let install_throughput ?(checkers = 4) ?(installs = 256) ?(targets = 4096)
   if classes < 3 then invalid_arg "Stress.install_throughput: classes < 3";
   let prng = Prng.create seed in
   let t =
-    Tables.create ~code_base:torture_base ~capacity:(4 * targets)
+    Tables.create ~code_base:rig_base ~capacity:(4 * targets)
       ~bary_slots:slots ()
   in
   (* Mirror of the installed assignment, kept class/version-consistent:
@@ -893,7 +933,7 @@ let install_throughput ?(checkers = 4) ?(installs = 256) ?(targets = 4096)
     Array.init targets (fun i ->
         if Prng.int prng 4 = 0 then -1 else cur_bary.(i mod slots))
   in
-  let addr i = torture_base + (4 * i) in
+  let addr i = rig_base + (4 * i) in
   let full_tary () =
     let acc = ref [] in
     Array.iteri (fun i e -> if e >= 0 then acc := (addr i, e) :: !acc) cur_tary;
@@ -1029,14 +1069,14 @@ let shard_scaling ?(updaters = 4) ?(duration_s = 0.2) ?(wedge_s = 0.2)
   let prng = Prng.create seed in
   Tx.seed_domain_jitter seed;
   let shs =
-    Shards.create ~shards:nsh ~code_base:torture_base
+    Shards.create ~shards:nsh ~code_base:rig_base
       ~capacity:(4 * targets) ~bary_slots:slots ()
   in
   let pool =
     Array.init 4 (fun _ -> gen_cfg prng ~slots ~targets)
   in
   let cfgs =
-    Array.map (fun c -> (tary_of ~base:torture_base c, bary_of c)) pool
+    Array.map (fun c -> (tary_of c, bary_of c)) pool
   in
   let spawn_updaters ~stop ~tally =
     Array.init (max 1 updaters) (fun uid ->

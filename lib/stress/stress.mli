@@ -1,7 +1,14 @@
-(** Multi-domain torture harness for the transaction protocol (§5.2) and
-    the dynamic-linking protocol (§6–7).
+(** The shared-table rig, and the multi-domain torture harness built on
+    it, for the transaction protocol (§5.2) and the dynamic-linking
+    protocol (§6–7).
 
-    A {e scenario} — derived deterministically from a seed — runs N
+    The rig (see {!rig} below) is what every harness on shared tables
+    runs on: the tables, the seeded CFG pool, the install logs, the
+    judged check, the kill-armed install and the end-of-run audit.  The
+    torture below and the fleet supervisor ([lib/supervisor]) both drive
+    it, each with its own workload shape.
+
+    A torture {e scenario} — derived deterministically from a seed — runs N
     checker domains against M updater domains on one table pair, plus an
     optional loader storm that [Process.load]s (and fails, and rolls
     back) modules against a live process while more checkers run.  The
@@ -169,64 +176,115 @@ val shard_scaling :
   unit ->
   shard_scaling
 
-(** {2 The seeded CFG pool and epoch-history oracle}
+(** {2 The shared-table rig}
 
-    Exposed for harnesses that run their own workloads against shared
-    tables but want this module's correctness judge — the fleet
-    supervisor ([lib/supervisor]) validates every tenant check with it.
+    The pieces both table harnesses are built from: {!run}'s torture
+    (free-running checker and updater domains) and the fleet supervisor
+    in [lib/supervisor] (tenants multiplexed over worker domains under a
+    supervisor tick loop).
 
-    A pool CFG lives in a tiny ECN space: [c_bary.(slot)] is a branch
-    slot's class, [c_tary.(i)] the class of the [i]-th 4-aligned target
-    ([-1] = not a target). *)
+    A rig holds sharded tables with their targets at one code base, a
+    seeded pool of small CFGs (three equivalence classes, about 1-in-4
+    targets holes), one install log per shard, and a seeding install of
+    pool CFG 0 on every shard.  The install log is the epoch-history
+    oracle's evidence: an {!Idtables.Tables.observer} records each
+    install transaction's begin (before its first slot write) and
+    completion (after its final barrier), both under the update lock,
+    so a check that reads the completed count before its table reads
+    and the begun count after them can only have observed the installs
+    in that window. *)
 
-type cfg = { c_bary : int array; c_tary : int array }
+type rig
 
-val ecn_space : int
-(** Number of distinct equivalence classes a pool CFG draws from. *)
+val begin_run : seed:int64 -> hoisted:bool -> unit
+(** Rewind the process-global state a run owns: disarm any fault plan,
+    reset {!Faults.Stats}, the telemetry trace (when enabled) and the
+    flight recorder (when recording), re-seed the per-domain backoff
+    jitter, and set the trace's dispatch hint ([hoisted] checks model
+    the threaded engine). *)
 
-val gen_cfg : Mcfi_util.Prng.t -> slots:int -> targets:int -> cfg
-(** Draw one pool CFG (about 1-in-4 targets are holes). *)
+val create :
+  seed:int64 ->
+  pool_prng:Mcfi_util.Prng.t ->
+  cfgs:int ->
+  slots:int ->
+  targets:int ->
+  shards:int ->
+  log:int ->
+  across:bool ->
+  rig
+(** Draw [cfgs] pool CFGs from [pool_prng], build [shards] shards of
+    [slots] branch slots and [targets] 4-aligned targets, attach an
+    install log of [log] entries per shard, and install pool CFG 0 on
+    every shard.  [across]: some installs commit on two shards, so a
+    kill may also land between shard commits.  [seed] is the one
+    anomalies report for replay. *)
 
-val allows : cfg -> slot:int -> tidx:int -> bool
-(** Whether the CFG permits branch [slot] to reach target index [tidx]. *)
+val shards : rig -> Idtables.Shards.t
 
-val tary_of : base:int -> cfg -> (int * int) list
-(** [(address, ecn)] Tary entries of a CFG, targets based at [base]. *)
+val completed : rig -> int -> int
+(** Install transactions completed on a shard so far. *)
 
-val bary_of : cfg -> (int * int) list
-(** [(slot, ecn)] Bary entries of a CFG. *)
+(** Where a domain records anomalies: it keeps the first few and writes
+    one forensic bundle per anomaly while the flight recorder is on. *)
+type sink
 
-(** The install log: an {!Idtables.Tables.observer} records each install
-    transaction's begin (before its first slot write) and completion
-    (after its final barrier), both under the update lock.  A check that
-    brackets its table reads with {!history_completed} before and
-    {!history_began} after can only have observed installs in the window
-    [[c0-1, b1-1]] — the oracle's justification set. *)
-type history
+val sink : unit -> sink
+val anomalies : sink -> anomaly list
 
-val make_history : int -> history
-(** [make_history capacity] — logs overflow (and stop recording) past
-    [capacity] begins; see {!history_overflowed}. *)
+val check :
+  rig ->
+  sink ->
+  Telemetry.tally ->
+  shard:int ->
+  watchdog:Idtables.Tx.watchdog ->
+  jitter:Mcfi_util.Prng.t ->
+  retries:int ref ->
+  ?on_retry:(unit -> unit) ->
+  ?sites:Idtables.Tx.site array ->
+  label:string ->
+  Mcfi_util.Prng.t ->
+  Idtables.Tx.outcome
+(** One judged check on [shard].  Draws a probe from the PRNG (a branch
+    slot and a target: in range, misaligned, or past the code), runs
+    {!Idtables.Shards.check} (or [check_hoisted] through [sites], one
+    site per branch slot) bracketed by the shard's install-log counters,
+    and bumps the tally with the outcome and the retries counted in
+    [retries] (which [on_retry] must increment).  The oracle then demands
+    that a pass be justified by some pool CFG installed in the read
+    window that allows the edge, and a violation by one that denies it;
+    otherwise it records an [unjustified-pass] or
+    [unjustified-violation] anomaly whose detail starts with [label] and
+    carries the window and its versions. *)
 
-val observer : history -> Idtables.Tables.observer
-(** The observer to pass to {!Idtables.Tables.set_observer}. *)
+type installed = Installed | Killed | Exhausted
 
-val history_began : history -> int
-val history_completed : history -> int
-val history_overflowed : history -> bool
+val install :
+  rig ->
+  sink ->
+  kill:bool ->
+  ?cross:bool ->
+  shard:int ->
+  label:string ->
+  Mcfi_util.Prng.t ->
+  int ->
+  installed
+(** [install r k ~kill ~shard ~label prng ci] installs pool CFG [ci] on
+    [shard], tagged [ci] in the install log.  [kill] first arms a
+    one-shot mid-install kill scoped to [shard] (its point drawn from
+    [prng]); it fires inside whichever installer crosses it next, which
+    gets [Killed] and writes exactly one injected-kill forensic bundle.
+    [cross] also commits on a second shard drawn from [prng], through
+    the cross-shard sequence.  Running out of versions is [Exhausted]
+    and a [version-space-exhausted] anomaly. *)
 
-val window_justifies :
-  history ->
-  cfg array ->
-  slot:int ->
-  tidx:int ->
-  c0:int ->
-  b1:int ->
-  pass:bool ->
-  bool
-(** [window_justifies h pool ~slot ~tidx ~c0 ~b1 ~pass]: does some
-    install in the check's read window justify the outcome — a [Pass]
-    by a pool CFG allowing the edge, a violation by one denying it?
-    [false] means the mechanism itself misbehaved (a pass no live
-    version explains is a CFI breach; an unexplained violation is a
-    spurious halt). *)
+val reclaim : rig -> unit
+(** One quiescence-reclaimer pass: try to declare quiescence on every
+    shard with installs since its last one. *)
+
+val finish : rig -> anomaly list * int array * int
+(** Detach the install logs and audit them: a [history-overflow] or
+    [unbalanced-install-log] anomaly per shard whose log overflowed or
+    has a begin without a completion (recover torn installs first).
+    Returns those anomalies, the installs completed per shard and the
+    quiescence points declared on all shards. *)

@@ -6,16 +6,30 @@
 
 open Cmdliner
 
+(* a count below its minimum is a usage error, not a silent clamp;
+   [mcfi torture] parses its counts with this too *)
+let count ~min what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "invalid %s %S, expected N >= %d" what s min))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED"
          ~doc:"campaign seed; the whole chaos schedule replays from it")
 
 let tenants_arg =
-  Arg.(value & opt (some int) None & info [ "tenants" ] ~docv:"N"
+  Arg.(value & opt (some (count ~min:2 "tenant count")) None
+       & info [ "tenants" ] ~docv:"N"
          ~doc:"fleet size (default 64, or 16 with $(b,--smoke))")
 
 let workers_arg =
-  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N"
+  Arg.(value & opt (some (count ~min:1 "worker count")) None
+       & info [ "workers" ] ~docv:"N"
          ~doc:"worker domains multiplexing the tenants")
 
 let ticks_arg =
@@ -60,19 +74,9 @@ let smoke_arg =
          ~doc:"the small CI fleet: 16 tenants, a deterministic kill and \
                wedge plan, short run")
 
-(* a shard count below 1 is a usage error, not a silent clamp to 1;
-   [mcfi torture] parses its [--shards] with this too *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-      Error (`Msg (Printf.sprintf "invalid shard count %S, expected N >= 1" s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let shards_arg =
-  Arg.(value & opt (some shards_conv) None & info [ "shards" ] ~docv:"N"
+  Arg.(value & opt (some (count ~min:1 "shard count")) None
+       & info [ "shards" ] ~docv:"N"
          ~doc:"split the shared tables into $(docv) independently versioned \
                shard fault domains; each tenant is homed on one (default 1)")
 
@@ -92,21 +96,6 @@ let forensics_arg =
                to $(docv) as forensics-<id>-<trigger>.json (replayable \
                with $(b,mcfi forensics))")
 
-let dispatch_conv =
-  let parse s =
-    match Mcfi_runtime.Machine.dispatch_of_string s with
-    | Ok v -> Ok v
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    (parse, fun ppf d -> Fmt.string ppf (Mcfi_runtime.Machine.dispatch_name d))
-
-let dispatch_arg =
-  Arg.(value & opt (some dispatch_conv) None & info [ "dispatch" ]
-         ~docv:"ENGINE"
-         ~doc:"VM execution engine for the loader tenants' processes: \
-               $(b,byte) or $(b,threaded)")
-
 let telemetry_arg =
   Arg.(value & flag & info [ "telemetry" ]
          ~doc:"enable telemetry for the run and print the stats report")
@@ -115,7 +104,7 @@ let override v o = match o with Some x -> x | None -> v
 
 let config_of seed tenants workers ticks storm_every storm_size churn_every
     loaders kill_one_in wedge_one_in slow_one_in shards shard_breaker
-    slo_breaker dispatch smoke =
+    slo_breaker smoke =
   let base = if smoke then Fleet.smoke ~seed else Fleet.default ~seed in
   let chaos =
     match (kill_one_in, wedge_one_in, slow_one_in) with
@@ -143,15 +132,13 @@ let config_of seed tenants workers ticks storm_every storm_size churn_every
     fc_shards = override base.Fleet.fc_shards shards;
     fc_shard_breaker = override base.Fleet.fc_shard_breaker shard_breaker;
     fc_slo_breaker = base.Fleet.fc_slo_breaker || slo_breaker;
-    fc_dispatch = override base.Fleet.fc_dispatch dispatch;
   }
 
 let config_term =
   Term.(const config_of $ seed_arg $ tenants_arg $ workers_arg $ ticks_arg
         $ storm_every_arg $ storm_size_arg $ churn_every_arg $ loaders_arg
         $ kill_one_in_arg $ wedge_one_in_arg $ slow_one_in_arg $ shards_arg
-        $ shard_breaker_arg $ slo_breaker_arg $ dispatch_arg
-        $ smoke_arg)
+        $ shard_breaker_arg $ slo_breaker_arg $ smoke_arg)
 
 let main config telemetry forensics =
   if telemetry then Telemetry.enable ();

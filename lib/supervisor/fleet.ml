@@ -24,7 +24,6 @@ type config = {
   fc_shards : int;
   fc_shard_breaker : int;
   fc_slo_breaker : bool;
-  fc_dispatch : Mcfi_runtime.Machine.dispatch;
 }
 
 let default ~seed =
@@ -53,7 +52,6 @@ let default ~seed =
     fc_shards = 1;
     fc_shard_breaker = 0;
     fc_slo_breaker = false;
-    fc_dispatch = Mcfi_runtime.Machine.Byte;
   }
 
 let smoke ~seed =
@@ -78,11 +76,10 @@ let pp_config ppf fc =
   Fmt.pf ppf
     "seed=%Ld tenants=%d (%d loaders) workers=%d ticks=%d base=%d \
      storm=%d/%d churn=%d shards=%d breaker=%d slo-breaker=%b \
-     dispatch=%s chaos=[%a] policy=(%a)"
+     chaos=[%a] policy=(%a)"
     fc.fc_seed fc.fc_tenants fc.fc_loaders fc.fc_workers fc.fc_ticks
     fc.fc_base_installs fc.fc_storm_size fc.fc_storm_every fc.fc_churn_every
     fc.fc_shards fc.fc_shard_breaker fc.fc_slo_breaker
-    (Mcfi_runtime.Machine.dispatch_name fc.fc_dispatch)
     (Fmt.list ~sep:Fmt.comma Faults.Tenant.pp_plan)
     fc.fc_chaos Health.pp_policy fc.fc_policy
 
@@ -172,8 +169,6 @@ let ok r =
 (* ------------------------------------------------------------------ *)
 (* Tenants                                                             *)
 
-let fleet_base = 0x1000
-
 (* Mutable per-tenant state.  Ownership: the [Atomic.t] fields are the
    shared surface; everything [mutable] is single-owner — either
    supervisor-only, or worker-side and touched only inside a [tn_busy]
@@ -227,10 +222,9 @@ type shard_state = {
 
 type ctx = {
   cx : config;
+  rig : Stress.rig;
   shs : Shards.t;
-  hists : Stress.history array; (* install log, one per shard *)
   shard_states : shard_state array;
-  pool : Stress.cfg array;
   chaos : Faults.Tenant.armed;
   tenants : tenant array;
   stop : bool Atomic.t;
@@ -252,96 +246,32 @@ let dequeue tn =
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 
-type wtally = {
-  mutable w_anomalies : Stress.anomaly list;
-  mutable w_count : int;
-}
-
-let max_anomalies_kept = 4
-
-let record_anomaly y ~seed an_kind an_detail =
-  y.w_count <- y.w_count + 1;
-  if y.w_count <= max_anomalies_kept then
-    y.w_anomalies <-
-      { Stress.an_seed = seed; an_kind; an_detail } :: y.w_anomalies;
-  (* same choke point as the torture oracle: exactly one forensic bundle
-     per recorded anomaly (the trigger is uncapped) *)
-  if Obs.Flightrec.recording () then
-    ignore
-      (Obs.Flightrec.record_trigger Obs.Flightrec.Oracle_anomaly
-         ~reason:(Printf.sprintf "%s (replay with seed %Ld)" an_kind seed)
-         ~extra:
-           [
-             ("kind", Json.Str an_kind);
-             ("detail", Json.Str an_detail);
-             ("seed", Json.Str (Int64.to_string seed));
-           ]
-         ())
-
 (* One queued install, committed under this tenant's identity.  A kill
-   marker arms a one-shot global mid-install fault right before the
-   transaction: the plan fires inside whichever updater crosses the
-   point next (usually this one), and whoever catches [Injected] in its
-   own update marks {e itself} crashed — the journal is left set and
-   the update lock released, exactly the corpse the supervisor must
-   contain. *)
+   marker arms a mid-install kill right before the transaction; whoever
+   the kill fires inside marks {e itself} crashed — the journal is left
+   set and the update lock released, exactly the corpse the supervisor
+   must contain. *)
 let serve_install ctx y tn ci =
-  if Atomic.get tn.tn_kill_next then begin
-    Atomic.set tn.tn_kill_next false;
-    let point, hit =
-      if Prng.bool tn.tn_prng then
-        (Faults.Plan.Nth_tary_write, 1 + Prng.int tn.tn_prng ctx.cx.fc_targets)
-      else (Faults.Plan.Between_tary_and_bary, 1)
-    in
-    (* on a sharded fleet the kill is scoped to this tenant's home
-       shard, so the corpse's torn install is confined there *)
-    let plan =
-      if Shards.count ctx.shs = 1 then Faults.Plan.At { point; hit }
-      else Faults.Plan.At_shard { shard = tn.tn_shard; point; hit }
-    in
-    Faults.arm plan
-  end;
   match
-    Shards.update ~tag:ci ctx.shs ~shard:tn.tn_shard
-      ~tary:(Stress.tary_of ~base:fleet_base ctx.pool.(ci))
-      ~bary:(Stress.bary_of ctx.pool.(ci))
+    Stress.install ctx.rig y tn.tn_prng ci ~shard:tn.tn_shard
+      ~label:(Printf.sprintf "tenant %d" tn.tn_id)
+      ~kill:(Atomic.exchange tn.tn_kill_next false)
   with
-  | (_ : int) -> Atomic.incr tn.tn_served
-  | exception Faults.Injected _ ->
+  | Stress.Installed -> Atomic.incr tn.tn_served
+  | Stress.Killed ->
     Atomic.set tn.tn_crashed true;
-    Atomic.set tn.tn_alive false;
-    (* one bundle per injected kill (uncapped): snapshot the home
-       shard's journal state before the supervisor's recovery redoes it *)
-    if Obs.Flightrec.recording () then
-      ignore
-        (Obs.Flightrec.record_trigger Obs.Flightrec.Injected_kill
-           ~reason:
-             (Printf.sprintf "tenant %d killed mid-install of cfg %d (shard %d)"
-                tn.tn_id ci tn.tn_shard)
-           ~extra:
-             [
-               ("tenant", Json.num tn.tn_id);
-               ("cfg", Json.num ci);
-               ("shard", Json.num tn.tn_shard);
-               ( "shard_state",
-                 Tables.state_json (Shards.tables ctx.shs tn.tn_shard) );
-             ]
-           ())
-  | exception Tx.Version_space_exhausted ->
-    record_anomaly y ~seed:ctx.cx.fc_seed "version-space-exhausted"
-      (Printf.sprintf "tenant %d exhausted versions mid-fleet" tn.tn_id)
+    Atomic.set tn.tn_alive false
+  | Stress.Exhausted -> ()
 
 let check_slice ctx y tn =
-  let sc = ctx.cx in
   match Atomic.get tn.tn_reader with
   | None -> ()
   | Some rd ->
     Tables.reader_quiescent rd;
-    let h = ctx.hists.(tn.tn_shard) in
     let esc =
       Health.escalation_of (Health.state_of_code (Atomic.get tn.tn_escalation))
     in
-    let wd = { Tx.wd_deadline = 256; wd_on_expire = esc } in
+    let watchdog = { Tx.wd_deadline = 256; wd_on_expire = esc } in
     (* [retries] counts the current check's retries for its tally *)
     let retries = ref 0 in
     let on_retry () =
@@ -351,57 +281,16 @@ let check_slice ctx y tn =
     (* black-box tally handle: resolved once per slice, bumped per check
        with plain stores — the flight recorder's always-on accounting *)
     let fr = Telemetry.tally () in
-    for _ = 1 to sc.fc_checks_per_slice do
-      let slot = Prng.int tn.tn_prng sc.fc_slots in
-      let kind = Prng.int tn.tn_prng 10 in
-      let tidx, target =
-        if kind = 0 then (-1, fleet_base + (4 * Prng.int tn.tn_prng sc.fc_targets) + 2)
-        else if kind = 1 then (-1, fleet_base + (4 * sc.fc_targets))
-        else
-          let i = Prng.int tn.tn_prng sc.fc_targets in
-          (i, fleet_base + (4 * i))
-      in
-      let c0 = Stress.history_completed h in
-      retries := 0;
+    let label = Printf.sprintf "tenant %d" tn.tn_id in
+    for _ = 1 to ctx.cx.fc_checks_per_slice do
       let out =
-        Shards.check ~watchdog:wd ~jitter:tn.tn_prng ~on_retry ctx.shs
-          ~shard:tn.tn_shard ~bary_index:slot ~target
+        Stress.check ctx.rig y fr ~shard:tn.tn_shard ~watchdog
+          ~jitter:tn.tn_prng ~retries ~on_retry ~label tn.tn_prng
       in
-      let b1 = Stress.history_began h in
       Atomic.incr tn.tn_checks;
-      if Obs.Flightrec.recording () then
-        Telemetry.bump fr
-          ~outcome:
-            (match out with
-            | Tx.Pass -> 0
-            | Tx.Violation -> 1
-            | Tx.Retries_exhausted -> 2)
-          ~retries:!retries;
-      let detail kind_s =
-        Printf.sprintf "tenant %d (shard %d): %s: slot=%d tidx=%d window=[%d,%d]"
-          tn.tn_id tn.tn_shard kind_s slot tidx
-          (max 0 (c0 - 1))
-          (b1 - 1)
-      in
       match out with
-      | Tx.Pass ->
-        Atomic.incr tn.tn_passes;
-        if
-          not
-            (Stress.window_justifies h ctx.pool ~slot ~tidx ~c0 ~b1
-               ~pass:true)
-        then
-          record_anomaly y ~seed:sc.fc_seed "unjustified-pass"
-            (detail "no live CFG version allows this edge")
-      | Tx.Violation ->
-        Atomic.incr tn.tn_violations;
-        if
-          not
-            (Stress.window_justifies h ctx.pool ~slot ~tidx ~c0 ~b1
-               ~pass:false)
-        then
-          record_anomaly y ~seed:sc.fc_seed "unjustified-violation"
-            (detail "every live CFG version allows this edge")
+      | Tx.Pass -> Atomic.incr tn.tn_passes
+      | Tx.Violation -> Atomic.incr tn.tn_violations
       | Tx.Retries_exhausted -> Atomic.incr tn.tn_exhausted
     done
 
@@ -470,7 +359,7 @@ let slice ctx y tn =
   end
 
 let worker_loop ctx () =
-  let y = { w_anomalies = []; w_count = 0 } in
+  let y = Stress.sink () in
   while not (Atomic.get ctx.stop) do
     Array.iter
       (fun tn ->
@@ -495,16 +384,10 @@ int seed_fn(int x) { return x + 1; }
 int main() { return seed_fn(0); }
 |}
 
-let build_loader_proc fc =
-  let proc =
-    Mcfi.Pipeline.build_process ~instrumented:true
-      ~sources:[ ("main", loader_program) ]
-      ()
-  in
-  Mcfi_runtime.Machine.set_dispatch
-    (Mcfi_runtime.Process.machine proc)
-    fc.fc_dispatch;
-  proc
+let build_loader_proc () =
+  Mcfi.Pipeline.build_process ~instrumented:true
+    ~sources:[ ("main", loader_program) ]
+    ()
 
 (* Claim the tenant the way a worker would, so teardown/rebirth never
    races a slice in flight.  Callers set [tn_alive] to false first when
@@ -541,7 +424,7 @@ let teardown_tenant ctx tn =
 let rebirth_tenant ctx tn =
   with_claim tn (fun () ->
       if tn.tn_loader then
-        Atomic.set tn.tn_proc (Some (build_loader_proc ctx.cx))
+        Atomic.set tn.tn_proc (Some (build_loader_proc ()))
       else
         Atomic.set tn.tn_reader
           (Some (Shards.register_reader ctx.shs ~shard:tn.tn_shard));
@@ -631,6 +514,18 @@ let supervise_tenant ctx recoveries tn ~now ~signals =
     | _ -> ())
   end
 
+(* Quarantine one tenant by decree and tear it down; [alert] rides in
+   the transition event's context word. *)
+let decree_quarantine ctx ?alert tn =
+  let old_st, new_st = Health.quarantine tn.tn_health in
+  if new_st <> old_st then begin
+    Atomic.set tn.tn_escalation (Health.state_code new_st);
+    Telemetry.emit Telemetry.Event.Tenant_state ~a:tn.tn_id
+      ~b:(Health.state_code new_st) ~c:(Health.state_code old_st)
+      ~x:(Telemetry.Event.make_ctx ~shard:tn.tn_shard ?alert ())
+  end;
+  teardown_tenant ctx tn
+
 (* Quarantine a whole shard by decree: it is declared a lost fault
    domain — every tenant homed there is quarantined and torn down, the
    shard's journal is redone one last time, and admission stops routing
@@ -663,18 +558,7 @@ let quarantine_shard ctx sh ?alert ~reason () =
            | None -> [])
          ());
   Array.iter
-    (fun tn ->
-      if tn.tn_shard = sh.sh_id then begin
-        let old_st, new_st = Health.quarantine tn.tn_health in
-        if new_st <> old_st then begin
-          Atomic.set tn.tn_escalation (Health.state_code new_st);
-          Telemetry.emit Telemetry.Event.Tenant_state ~a:tn.tn_id
-            ~b:(Health.state_code new_st)
-            ~c:(Health.state_code old_st)
-            ~x:(Telemetry.Event.make_ctx ~shard:tn.tn_shard ?alert ())
-        end;
-        teardown_tenant ctx tn
-      end)
+    (fun tn -> if tn.tn_shard = sh.sh_id then decree_quarantine ctx ?alert tn)
     ctx.tenants;
   ignore (Shards.recover ctx.shs ~shard:sh.sh_id)
 
@@ -763,7 +647,7 @@ let admit_tick ctx ad prng ~now =
   in
   for _ = 1 to n do
     admit_one ctx ad ~now ~deferred:false
-      (Prng.int prng (Array.length ctx.pool))
+      (Prng.int prng ctx.cx.fc_cfgs)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -784,56 +668,29 @@ let run fc =
       fc_shards = max 1 fc.fc_shards;
     }
   in
-  Faults.disarm ();
-  Faults.Stats.reset ();
-  if Telemetry.enabled () then Telemetry.reset ();
-  (* rewind the observability layer for exact per-run accounting: one
-     bundle per kill/anomaly, alert ids counted from this run's alerts.
-     Caps and the forensics output directory survive the reset. *)
-  if Obs.Flightrec.recording () then Obs.Flightrec.reset ();
+  Stress.begin_run ~seed:fc.fc_seed ~hoisted:false;
+  (* alert ids count from this run's alerts *)
   Obs.Slo.reset ();
   Obs.Timeseries.reset ();
-  Telemetry.set_dispatch_hint
-    (match fc.fc_dispatch with
-    | Mcfi_runtime.Machine.Byte -> Telemetry.Event.dispatch_byte
-    | Mcfi_runtime.Machine.Threaded -> Telemetry.Event.dispatch_threaded);
-  Tx.seed_domain_jitter fc.fc_seed;
   let t0 = Unix.gettimeofday () in
   let nsh = fc.fc_shards in
   let master = Prng.create fc.fc_seed in
-  let pool =
-    Array.init fc.fc_cfgs (fun _ ->
-        Stress.gen_cfg master ~slots:fc.fc_slots ~targets:fc.fc_targets)
-  in
-  let admit_prng = Prng.split master in
-  let churn_prng = Prng.split master in
-  let shs =
-    Shards.create ~shards:nsh ~code_base:fleet_base
-      ~capacity:(4 * fc.fc_targets) ~bary_slots:fc.fc_slots ()
-  in
   (* every admission can begin at most one install, plus the seed
      install and slack for journal redos; size each shard's log for the
      worst case of every install landing on it *)
   let storms =
     if fc.fc_storm_every > 0 then fc.fc_ticks / fc.fc_storm_every else 0
   in
-  let hists =
-    Array.init nsh (fun _ ->
-        Stress.make_history
-          ((fc.fc_ticks * fc.fc_base_installs) + (storms * fc.fc_storm_size)
-          + 64))
+  let rig =
+    Stress.create ~seed:fc.fc_seed ~pool_prng:master ~cfgs:fc.fc_cfgs
+      ~slots:fc.fc_slots ~targets:fc.fc_targets ~shards:nsh
+      ~log:
+        ((fc.fc_ticks * fc.fc_base_installs) + (storms * fc.fc_storm_size) + 64)
+      ~across:false
   in
-  Array.iteri
-    (fun i h -> Shards.set_observer shs ~shard:i (Some (Stress.observer h)))
-    hists;
-  for i = 0 to nsh - 1 do
-    let _v0 : int =
-      Shards.update ~tag:0 shs ~shard:i
-        ~tary:(Stress.tary_of ~base:fleet_base pool.(0))
-        ~bary:(Stress.bary_of pool.(0))
-    in
-    ()
-  done;
+  let shs = Stress.shards rig in
+  let admit_prng = Prng.split master in
+  let churn_prng = Prng.split master in
   let tenants =
     Array.init fc.fc_tenants (fun i ->
         let worker_prng = Prng.split master in
@@ -878,12 +735,11 @@ let run fc =
   let ctx =
     {
       cx = fc;
+      rig;
       shs;
-      hists;
       shard_states =
         Array.init nsh (fun i ->
             { sh_id = i; sh_crashes = 0; sh_quarantined = false });
-      pool;
       chaos = Faults.Tenant.arm fc.fc_chaos;
       tenants;
       stop = Atomic.make false;
@@ -892,7 +748,7 @@ let run fc =
   (* birth: register every tenant before the workers start *)
   Array.iter
     (fun tn ->
-      if tn.tn_loader then Atomic.set tn.tn_proc (Some (build_loader_proc fc))
+      if tn.tn_loader then Atomic.set tn.tn_proc (Some (build_loader_proc ()))
       else
         Atomic.set tn.tn_reader
           (Some (Shards.register_reader shs ~shard:tn.tn_shard));
@@ -990,10 +846,9 @@ let run fc =
          (sum (fun tn ->
               if Health.state tn.tn_health = Health.Healthy then 1 else 0)));
     Array.iteri
-      (fun i h ->
-        Obs.Timeseries.push ts_shard.(i)
-          (float_of_int (Stress.history_completed h)))
-      ctx.hists
+      (fun i ts ->
+        Obs.Timeseries.push ts (float_of_int (Stress.completed rig i)))
+      ts_shard
   in
   for now = 1 to fc.fc_ticks do
     admit_tick ctx ad admit_prng ~now;
@@ -1018,11 +873,7 @@ let run fc =
     end;
     (* the supervisor doubles as the quiescence reclaimer, shard by
        shard: one shard's stalled epoch never gates another's *)
-    for i = 0 to nsh - 1 do
-      let ti = Shards.tables shs i in
-      if Tables.updates_since_quiesce ti > 0 then
-        ignore (Tables.quiesce_attempt ti)
-    done;
+    Stress.reclaim rig;
     if fc.fc_tick_s > 0. then Unix.sleepf fc.fc_tick_s
   done;
   Atomic.set ctx.stop true;
@@ -1032,17 +883,7 @@ let run fc =
      not slip through as a survivor (or let its registration pollute
      the quiescence gate): quarantine stragglers by decree *)
   Array.iter
-    (fun tn ->
-      if Atomic.get tn.tn_wedged then begin
-        let old_st, new_st = Health.quarantine tn.tn_health in
-        if new_st <> old_st then begin
-          Atomic.set tn.tn_escalation (Health.state_code new_st);
-          Telemetry.emit Telemetry.Event.Tenant_state ~a:tn.tn_id
-            ~b:(Health.state_code new_st) ~c:(Health.state_code old_st)
-            ~x:(Telemetry.Event.make_ctx ~shard:tn.tn_shard ());
-          teardown_tenant ctx tn
-        end
-      end)
+    (fun tn -> if Atomic.get tn.tn_wedged then decree_quarantine ctx tn)
     tenants;
   (* drain: process crashes still pending and let every Restarting
      tenant finish its backoff and rebirth.  The fake epoch keeps
@@ -1110,45 +951,12 @@ let run fc =
   let final_quiesce = !final_quiesce in
   (* final teardown: every remaining registration and loader process *)
   Array.iter (fun tn -> teardown_tenant ctx tn) tenants;
-  for i = 0 to nsh - 1 do
-    Shards.set_observer shs ~shard:i None
-  done;
+  let audit, shard_installs, quiesces = Stress.finish rig in
   let anomalies =
     Array.fold_left
-      (fun acc y -> List.rev_append y.w_anomalies acc)
-      [] tallies
+      (fun acc y -> List.rev_append (Stress.anomalies y) acc)
+      audit tallies
   in
-  let anomalies = ref anomalies in
-  Array.iteri
-    (fun i h ->
-      if Stress.history_overflowed h then
-        anomalies :=
-          {
-            Stress.an_seed = fc.fc_seed;
-            an_kind = "history-overflow";
-            an_detail =
-              Printf.sprintf "shard %d: more installs began than the fleet \
-                              admits" i;
-          }
-          :: !anomalies;
-      let began = Stress.history_began h in
-      let completed = Stress.history_completed h in
-      if began <> completed then
-        anomalies :=
-          {
-            Stress.an_seed = fc.fc_seed;
-            an_kind = "unbalanced-install-log";
-            an_detail =
-              Printf.sprintf "shard %d: %d installs began but %d completed" i
-                began completed;
-          }
-          :: !anomalies)
-    hists;
-  let anomalies = !anomalies in
-  let shard_installs =
-    Array.map (fun h -> Stress.history_completed h) hists
-  in
-  let completed = Array.fold_left ( + ) 0 shard_installs in
   let anomalies =
     if final_quiesce then anomalies
     else
@@ -1188,7 +996,7 @@ let run fc =
     fr_violations = sum (fun tn -> Atomic.get tn.tn_violations);
     fr_exhausted = sum (fun tn -> Atomic.get tn.tn_exhausted);
     fr_retries = sum (fun tn -> Atomic.get tn.tn_retries);
-    fr_installs = completed;
+    fr_installs = Array.fold_left ( + ) 0 shard_installs;
     fr_served = sum (fun tn -> Atomic.get tn.tn_served);
     fr_admitted = ad.ad_admitted;
     fr_shed = ad.ad_shed + List.length ad.ad_retry;
@@ -1204,12 +1012,7 @@ let run fc =
     fr_recovery_p99_ms = percentile sorted 0.99;
     fr_loads_ok = sum (fun tn -> Atomic.get tn.tn_loads_ok);
     fr_loads_failed = sum (fun tn -> Atomic.get tn.tn_loads_failed);
-    fr_quiesces =
-      (let q = ref 0 in
-       for i = 0 to nsh - 1 do
-         q := !q + Tables.quiesce_events (Shards.tables shs i)
-       done;
-       !q);
+    fr_quiesces = quiesces;
     fr_final_quiesce = final_quiesce;
     fr_shard_installs = shard_installs;
     fr_shard_served =

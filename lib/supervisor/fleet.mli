@@ -2,11 +2,13 @@
     its own fault domain, under a supervisor that restarts, degrades and
     quarantines them while an install storm rages.
 
-    Every tenant is a supervised workload entity: it registers an epoch
-    reader on the shared tables, runs oracle-validated check
-    transactions (judged by the {!Stress} epoch-history oracle), and
-    serves install transactions from a bounded per-tenant queue the
-    supervisor feeds.  A few {e loader} tenants own a real
+    The tables, CFG pool and install logs are a {!Stress.rig}, the same
+    one torture runs on.  Every tenant is a supervised workload entity:
+    it registers an epoch reader on the shared tables, runs the rig's
+    judged checks ({!Stress.check}: every outcome judged by the
+    epoch-history oracle), and serves installs from a bounded
+    per-tenant queue the supervisor feeds, through the rig's kill-armed
+    install ({!Stress.install}).  A few {e loader} tenants own a real
     {!Mcfi_runtime.Process} instead and churn [dlopen]s against it.
     Chaos comes from {!Faults.Tenant} plans — kill-mid-install (the
     victim dies inside an update transaction, journal set, lock
@@ -56,8 +58,6 @@ type config = {
           a shard whose "shard-crash-free" objective burns past
           threshold in both windows is quarantined, and the transition
           record carries the alert id ({!Obs.Slo}) *)
-  fc_dispatch : Mcfi_runtime.Machine.dispatch;
-      (** execution engine for the loader tenants' VM processes *)
 }
 
 val default : seed:int64 -> config

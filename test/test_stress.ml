@@ -173,6 +173,73 @@ let test_deterministic_replay () =
     (r1.Stress.rp_loads_ok, r1.Stress.rp_loads_failed)
     (r2.Stress.rp_loads_ok, r2.Stress.rp_loads_failed)
 
+(* --- the oracle can fire --- *)
+
+(* Reinstall the tables' current contents (pool CFG 0, from the rig's
+   seeding install) under tag 1: the install log then names a pool
+   CFG the tables disagree with, and judged checks must report it. *)
+let mistagged_rig () =
+  let r =
+    Stress.create ~seed:0x0DDL ~pool_prng:(Mcfi_util.Prng.create 3L) ~cfgs:4
+      ~slots:4 ~targets:24 ~shards:1 ~log:8 ~across:false
+  in
+  let shs = Stress.shards r in
+  let t = Shards.tables shs 0 in
+  let ecns = List.map (fun (k, id) -> (k, Id.ecn id)) in
+  let (_ : int) =
+    Shards.update ~tag:1 shs ~shard:0
+      ~tary:(ecns (Tables.tary_entries t))
+      ~bary:(ecns (Tables.bary_entries t))
+  in
+  r
+
+(* Judged checks, one fresh sink each so no anomaly falls past a sink's
+   cap: every anomaly recorded, in order. *)
+let judge r n =
+  let fr = Telemetry.tally () in
+  let watchdog = { Tx.wd_deadline = 64; wd_on_expire = Tx.Wait_for_updater } in
+  let prng = Mcfi_util.Prng.create 5L in
+  let retries = ref 0 in
+  List.concat_map
+    (fun _ ->
+      let k = Stress.sink () in
+      let (_ : Tx.outcome) =
+        Stress.check r k fr ~shard:0 ~watchdog ~jitter:prng ~retries
+          ~label:"probe" prng
+      in
+      Stress.anomalies k)
+    (List.init n Fun.id)
+
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_oracle_fires () =
+  Stress.begin_run ~seed:0x0DDL ~hoisted:false;
+  let found = judge (mistagged_rig ()) 2000 in
+  let count kind =
+    List.length (List.filter (fun a -> a.Stress.an_kind = kind) found)
+  in
+  if count "unjustified-pass" = 0 then
+    Alcotest.fail "a pass the logged CFG denies went unreported";
+  if count "unjustified-violation" = 0 then
+    Alcotest.fail "a violation the logged CFG allows went unreported";
+  List.iter
+    (fun a ->
+      if
+        not
+          (has_sub a.Stress.an_detail "probe: "
+          && has_sub a.Stress.an_detail "window=[1,1] versions=[")
+      then Alcotest.failf "detail lacks label or window: %s" a.Stress.an_detail)
+    found;
+  Alcotest.(check int)
+    "one bundle per anomaly" (List.length found)
+    (Obs.Flightrec.trigger_requests Obs.Flightrec.Oracle_anomaly);
+  Obs.Flightrec.reset ()
+
 let () =
   Alcotest.run "stress"
     [
@@ -191,6 +258,11 @@ let () =
           Alcotest.test_case "loader storm" `Quick test_loader_storm;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "mistagged install is reported" `Quick
+            test_oracle_fires;
         ] );
       ( "shards",
         [

@@ -354,6 +354,38 @@ let test_shard_breaker_confines () =
   Alcotest.(check bool) "final quiescence despite the quarantine" true
     r.Fl.fr_final_quiesce
 
+(* ---- `mcfi fleet` flag parsing ---- *)
+
+let fleet_cmd term = Cmdliner.Cmd.v (Cmdliner.Cmd.info "fleet") term
+let argv args = Array.of_list ("fleet" :: args)
+let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore
+
+let test_cli_parsing () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int)
+        (String.concat " " args ^ " is a usage error")
+        Cmdliner.Cmd.Exit.cli_error
+        (Cmdliner.Cmd.eval' ~err:quiet ~help:quiet ~argv:(argv args)
+           (fleet_cmd
+              Cmdliner.Term.(const (fun _ -> 0) $ Supervisor.Cli.config_term))))
+    [
+      [ "--tenants"; "1" ];
+      [ "--workers"; "0" ];
+      [ "--shards"; "0" ];
+      [ "--dispatch"; "byte" ];
+    ];
+  match
+    Cmdliner.Cmd.eval_value ~err:quiet ~help:quiet
+      ~argv:(argv [ "--smoke"; "--shards"; "4"; "--shard-breaker"; "6" ])
+      (fleet_cmd Supervisor.Cli.config_term)
+  with
+  | Ok (`Ok fc) ->
+    Alcotest.(check bool)
+      "sharded smoke config" true
+      (fc = { (Fl.smoke ~seed:1L) with Fl.fc_shards = 4; fc_shard_breaker = 6 })
+  | _ -> Alcotest.fail "sharded smoke flags did not parse"
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -397,4 +429,6 @@ let () =
           Alcotest.test_case "shard breaker confines the blast" `Quick
             test_shard_breaker_confines;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "fleet flag parsing" `Quick test_cli_parsing ] );
     ]
