@@ -591,8 +591,8 @@ let top_cmd =
            ~doc:"override: supervision rounds")
   in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ]
-           ~doc:"override: shard fault domains")
+    Arg.(value & opt (some (Supervisor.Cli.count ~min:1 "shard count")) None
+         & info [ "shards" ] ~doc:"override: shard fault domains")
   in
   let full =
     Arg.(value & flag & info [ "full" ]
@@ -621,13 +621,15 @@ let top_cmd =
       else Supervisor.Fleet.smoke ~seed
     in
     let fc =
-      {
-        base with
-        Supervisor.Fleet.fc_ticks =
-          Option.value ticks ~default:base.Supervisor.Fleet.fc_ticks;
-        fc_shards = Option.value shards ~default:base.Supervisor.Fleet.fc_shards;
-        fc_slo_breaker = base.Supervisor.Fleet.fc_slo_breaker || slo_breaker;
-      }
+      Supervisor.Fleet.effective
+        {
+          base with
+          Supervisor.Fleet.fc_ticks =
+            Option.value ticks ~default:base.Supervisor.Fleet.fc_ticks;
+          fc_shards =
+            Option.value shards ~default:base.Supervisor.Fleet.fc_shards;
+          fc_slo_breaker = base.Supervisor.Fleet.fc_slo_breaker || slo_breaker;
+        }
     in
     let color = not no_color in
     if once then begin

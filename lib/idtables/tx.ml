@@ -104,52 +104,81 @@ let check_fast ?on_retry t ~bary_index ~target =
 
 exception Version_space_exhausted
 
-(* Build the full Tary/Bary images up front so every parameter error is
+(* Check a full install's entries up front, so every parameter error is
    raised before the first slot write: an [invalid_arg] never leaves the
-   tables half-rewritten. *)
-let build_images t ~version ~tary ~bary =
+   tables half-rewritten.  Returns both lists in key order, as
+   [publish_sorted] needs them; they usually arrive sorted and are then
+   returned as they are. *)
+let validate_full t ~version ~tary ~bary =
   let base = Tables.code_base t and size = Tables.code_size t in
-  let slots = size / 4 in
-  let new_tary = Array.make slots Id.invalid in
   List.iter
     (fun (addr, ecn) ->
       let off = addr - base in
       if off < 0 || off >= size || off mod 4 <> 0 then
         invalid_arg
           (Printf.sprintf "Tx.update: bad Tary target address 0x%x" addr);
-      new_tary.(off / 4) <- Id.pack ~ecn ~version)
+      ignore (Id.pack ~ecn ~version))
     tary;
-  let new_bary = Array.make (Tables.bary_slots t) Id.invalid in
   List.iter
     (fun (idx, ecn) ->
-      if idx < 0 || idx >= Array.length new_bary then
+      if idx < 0 || idx >= Tables.bary_slots t then
         invalid_arg (Printf.sprintf "Tx.update: bad Bary slot %d" idx);
-      new_bary.(idx) <- Id.pack ~ecn ~version)
+      ignore (Id.pack ~ecn ~version))
     bary;
-  (new_tary, new_bary)
+  let rec sorted = function
+    | (a, _) :: ((b, _) :: _ as tl) -> a <= b && sorted tl
+    | _ -> true
+  in
+  let by_key l =
+    if sorted l then l else List.stable_sort (fun (a, _) (b, _) -> compare a b) l
+  in
+  (by_key tary, by_key bary)
 
-(* Publish a pre-validated image pair; caller holds the update lock.
-   [faults] gates the injection hooks — a journal redo runs with them off
-   so recovery cannot re-fail at the point that killed the original. *)
-let install_locked ~faults ~got_update t ~version ~new_tary ~new_bary =
-  let shard = Tables.shard t in
+(* Publish slots [0, n) in order: slot [k], keyed [base + stride * k],
+   gets the packed ECN of the last entry with that key in [entries]
+   (validated, in key order), or [Id.invalid].  The table is rewritten
+   without building its image, so a full install allocates nothing in
+   proportion to the table. *)
+let publish_sorted ~n ~base ~stride ~version entries publish =
+  let rest = ref entries in
+  for k = 0 to n - 1 do
+    let key = base + (stride * k) in
+    let id = ref Id.invalid and more = ref true in
+    while !more do
+      match !rest with
+      | (a, ecn) :: tl when a = key ->
+        id := Id.pack ~ecn ~version;
+        rest := tl
+      | _ -> more := false
+    done;
+    publish key !id
+  done
+
+(* Publish a validated, key-ordered entry pair; caller holds the update
+   lock.  [faults] gates the injection hooks — a journal redo runs with
+   them off so recovery cannot re-fail at the point that killed the
+   original. *)
+let install_locked ~faults ~got_update t ~version ~tary ~bary =
+  (* boxed once: passing [~shard] to the optional argument boxes it at
+     every one of the per-slot hook crossings *)
+  let shard = Some (Tables.shard t) in
   Tables.seq_enter t;
   Tables.set_version t version;
   let base = Tables.code_base t in
   (* Phase 1: publish the new Tary image slot by slot (each publish is an
      atomic, sequentially consistent write — the movnti-with-barrier
      analog). *)
-  Array.iteri
-    (fun k id ->
-      if faults then Faults.hit ~shard Faults.Plan.Nth_tary_write;
-      Tables.tary_set t (base + (4 * k)) id)
-    new_tary;
+  publish_sorted ~n:(Tables.code_size t / 4) ~base ~stride:4 ~version tary
+    (fun addr id ->
+      if faults then Faults.hit ?shard Faults.Plan.Nth_tary_write;
+      Tables.tary_set t addr id);
   (* the write barrier between the two phases (paper Fig. 3 line 5) *)
   Tables.publish t;
-  if faults then Faults.hit ~shard Faults.Plan.Between_tary_and_bary;
+  if faults then Faults.hit ?shard Faults.Plan.Between_tary_and_bary;
   got_update ();
   (* Phase 2: publish the new Bary table. *)
-  Array.iteri (fun idx id -> Tables.bary_set t idx id) new_bary;
+  publish_sorted ~n:(Tables.bary_slots t) ~base:0 ~stride:1 ~version bary
+    (Tables.bary_set t);
   Tables.publish t;
   Tables.seq_exit t;
   (* the install is complete: snapshot reader epochs, so quiescence can
@@ -157,7 +186,7 @@ let install_locked ~faults ~got_update t ~version ~new_tary ~new_bary =
   Tables.observe_readers t
 
 (* Validate and pack a delta's writes up front (failure atomicity, as
-   [build_images]): rewrites at [version], carries at their recorded
+   [validate_full]): rewrites at [version], carries at their recorded
    class version. *)
 let build_delta_writes t ~version ~tary ~bary ~tary_carry ~bary_carry =
   let base = Tables.code_base t and size = Tables.code_size t in
@@ -210,16 +239,16 @@ let build_delta_writes t ~version ~tary ~bary ~tary_carry ~bary_carry =
    throughout). *)
 let install_delta_locked ~faults ~got_update t ~version ~tary_writes
     ~bary_writes =
-  let shard = Tables.shard t in
+  let shard = Some (Tables.shard t) in
   Tables.seq_enter t;
   Tables.set_version t version;
   List.iter
     (fun (addr, id) ->
-      if faults then Faults.hit ~shard Faults.Plan.Nth_tary_write;
+      if faults then Faults.hit ?shard Faults.Plan.Nth_tary_write;
       Tables.tary_set t addr id)
     tary_writes;
   Tables.publish t;
-  if faults then Faults.hit ~shard Faults.Plan.Between_tary_and_bary;
+  if faults then Faults.hit ?shard Faults.Plan.Between_tary_and_bary;
   got_update ();
   List.iter (fun (idx, id) -> Tables.bary_set t idx id) bary_writes;
   Tables.publish t;
@@ -235,12 +264,10 @@ let recover_locked t =
   | Some { Tables.j_version; j_body; j_tag } ->
     (match j_body with
     | Tables.Jfull { jf_tary; jf_bary } ->
-      let new_tary, new_bary =
-        build_images t ~version:j_version ~tary:jf_tary ~bary:jf_bary
-      in
+      (* journaled after [validate_full]: valid and in key order *)
       install_locked ~faults:false
         ~got_update:(fun () -> ())
-        t ~version:j_version ~new_tary ~new_bary
+        t ~version:j_version ~tary:jf_tary ~bary:jf_bary
     | Tables.Jdelta { jd_tary; jd_bary; jd_tary_carry; jd_bary_carry } ->
       let tary_writes, bary_writes =
         build_delta_writes t ~version:j_version ~tary:jd_tary ~bary:jd_bary
@@ -577,7 +604,7 @@ let update_locked ?(tag = -1) ~got_update t ~tary ~bary =
   ensure_version_budget t;
   Tables.count_update t;
   let version = (Tables.version t + 1) mod Id.max_version in
-  let new_tary, new_bary = build_images t ~version ~tary ~bary in
+  let tary, bary = validate_full t ~version ~tary ~bary in
   (* Journal the intent: from here until the final barrier, a death leaves
      enough state for the next lock holder to redo the install. *)
   Tables.set_journal t
@@ -589,7 +616,7 @@ let update_locked ?(tag = -1) ~got_update t ~tary ~bary =
        });
   Tables.notify_begin t ~version ~tag;
   let t_install = if Telemetry.enabled () then Telemetry.now_ns () else 0 in
-  install_locked ~faults:true ~got_update t ~version ~new_tary ~new_bary;
+  install_locked ~faults:true ~got_update t ~version ~tary ~bary;
   if t_install > 0 then
     Telemetry.Metrics.observe m_install_ns (Telemetry.now_ns () - t_install);
   Tables.set_journal t None;

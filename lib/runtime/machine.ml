@@ -53,12 +53,17 @@ type t = {
   code_base : int;
   image : Bytes.t; (* reserved capacity; [code_len] bytes are loaded *)
   mutable code_len : int;
-  (* per-byte-offset decode memo, kept flat so fetch never allocates or
-     matches an option: [decode_size.(off)] is the instruction size
-     (0 = not decoded yet, -1 = bytes do not decode), and
-     [decode_instr.(off)] is meaningful only when the size is positive *)
-  decode_size : int array;
-  decode_instr : Instr.t array;
+  (* per-byte-offset decode memo, in pages of [memo_page] offsets that
+     [append_code] maps as code arrives, so a machine holds memo only for
+     the code it has loaded; a page is never copied or regrown.  For
+     offset [off], in page [p = off / memo_page] at [k = off mod
+     memo_page]: the size byte [memo_size.(p).[k]] is the instruction
+     size (0 = not decoded yet, [undecodable] = the bytes do not decode),
+     a [Bytes] page the GC never scans; [memo_instr.(p).(k)] is the
+     instruction, meaningful only when the size is a real size.
+     Unmapped pages are empty ([Bytes.empty], [[||]]). *)
+  memo_size : Bytes.t array;
+  memo_instr : Instr.t array array;
   data : int array;
   regs : int array;
   mutable pc : int;
@@ -138,15 +143,32 @@ let instr_class = function
   | Instr.Nop | Instr.Halt -> 11
 
 
+(* Decode-memo pages: 1 KiB of code per page, so a memo page costs 9 KiB
+   (a 1 KiB size page and a 1 Ki-word instruction page) and a module maps
+   about as many pages as it has KiB of code — a small dlopen'd module
+   one or two. *)
+let memo_bits = 10
+let memo_page = 1 lsl memo_bits
+let memo_mask = memo_page - 1
+let undecodable = 255
+
+(* The longest encoding (a [Binop_i]): a decode at offset [off] reads at
+   most the bytes [off, off + max_decode_span), so changing the bytes
+   from [from] on stales decodes starting up to this many bytes before
+   it, including ones that ran past the end of the loaded code into the
+   unoccupied Halt bytes. *)
+let max_decode_span = 11
+
 let create ?tables ?(dispatch = Byte) ?(seed = 1L) ~code_base ~code_capacity
     ~data_words () =
+  let pages = (code_capacity + memo_page - 1) / memo_page in
   {
     code_base;
     (* unoccupied code bytes hold the Halt opcode (0x01) *)
     image = Bytes.make code_capacity '\x01';
     code_len = 0;
-    decode_size = Array.make code_capacity 0;
-    decode_instr = Array.make code_capacity Instr.Halt;
+    memo_size = Array.make pages Bytes.empty;
+    memo_instr = Array.make pages [||];
     data = Array.make data_words 0;
     regs =
       (let r = Array.make Instr.num_regs 0 in
@@ -192,10 +214,15 @@ let set_transfer_hook m h = m.on_transfer <- h
    every fused sequence (the longest, the masked-store quad, is 32 B). *)
 let max_fuse_span = 64
 
-(* Drop pre-decodings at and after [from], plus the guard band before
-   it.  Mirrors the decode-memo invalidation rule: the threaded stream
-   is a cache over the same bytes. *)
-let invalidate_th m ~from =
+(* Drop the decodes that read bytes at or after [from]: the memo entries
+   of the loaded code from [max_decode_span] bytes before it (entries at
+   and after [code_len] are always 0 — fetch never decodes there), and
+   the pre-decodings from the wider fused-sequence guard band on.  The
+   threaded stream is a cache over the memo, so it goes too. *)
+let invalidate m ~from =
+  for off = max 0 (from - max_decode_span + 1) to m.code_len - 1 do
+    Bytes.set m.memo_size.(off lsr memo_bits) (off land memo_mask) '\000'
+  done;
   let cover = Array.length m.th_op in
   if cover > 0 then begin
     let lo = max 0 (from - max_fuse_span) in
@@ -207,13 +234,21 @@ let invalidate_th m ~from =
 
 let append_code m img =
   let base = m.code_base + m.code_len in
-  if m.code_len + String.length img > Bytes.length m.image then
+  let len = m.code_len + String.length img in
+  if len > Bytes.length m.image then
     invalid_arg "Machine.append_code: code capacity exceeded";
   Bytes.blit_string img 0 m.image m.code_len (String.length img);
   (* loading code invalidates stale decodings of the region *)
-  Array.fill m.decode_size m.code_len (String.length img) 0;
-  invalidate_th m ~from:m.code_len;
-  m.code_len <- m.code_len + String.length img;
+  invalidate m ~from:m.code_len;
+  (* map the memo pages the new code reaches (a page left mapped by a
+     truncated load is reused as it stands: its sizes are all 0) *)
+  for p = m.code_len asr memo_bits to (len - 1) asr memo_bits do
+    if Bytes.length m.memo_size.(p) = 0 then begin
+      m.memo_size.(p) <- Bytes.make memo_page '\000';
+      m.memo_instr.(p) <- Array.make memo_page Instr.Halt
+    end
+  done;
+  m.code_len <- len;
   Faults.hit Faults.Plan.After_code_append;
   base
 
@@ -234,8 +269,7 @@ let truncate_code m ~code_end =
     invalid_arg (Printf.sprintf "Machine.truncate_code: 0x%x" code_end);
   (* scrub back to the unoccupied-byte pattern (Halt) and drop decodings *)
   Bytes.fill m.image len (m.code_len - len) '\x01';
-  Array.fill m.decode_size len (m.code_len - len) 0;
-  invalidate_th m ~from:len;
+  invalidate m ~from:len;
   m.code_len <- len
 
 let set_pc m addr = m.pc <- addr
@@ -280,26 +314,31 @@ let read_string m addr =
   in
   go addr
 
-(* Fetch the instruction at an arbitrary code address — mid-instruction
-   offsets decode whatever bytes are there, as on a real CISC. *)
-let fetch m addr =
-  let off = addr - m.code_base in
-  if off < 0 || off >= m.code_len then None
+(* Fetch the instruction at code offset [off] — mid-instruction offsets
+   decode whatever bytes are there, as on a real CISC.  Returns its size,
+   or 0 when [off] is outside the loaded code or the bytes there do not
+   decode; the instruction is then [instr_at m off].  Allocates nothing
+   once the offset is memoized. *)
+let fetch m off =
+  if off < 0 || off >= m.code_len then 0
   else begin
-    let size = m.decode_size.(off) in
-    if size > 0 then Some (m.decode_instr.(off), size)
-    else if size < 0 then None
+    let sizes = m.memo_size.(off lsr memo_bits) and k = off land memo_mask in
+    let size = Char.code (Bytes.get sizes k) in
+    if size = undecodable then 0
+    else if size > 0 then size
     else begin
       match Encode.decode (Bytes.unsafe_to_string m.image) off with
       | Ok (i, off') ->
-        m.decode_instr.(off) <- i;
-        m.decode_size.(off) <- off' - off;
-        Some (i, off' - off)
+        m.memo_instr.(off lsr memo_bits).(k) <- i;
+        Bytes.set sizes k (Char.chr (off' - off));
+        off' - off
       | Error _ ->
-        m.decode_size.(off) <- -1;
-        None
+        Bytes.set sizes k (Char.chr undecodable);
+        0
     end
   end
+
+let instr_at m off = m.memo_instr.(off lsr memo_bits).(off land memo_mask)
 
 exception Trap of exit_reason
 
@@ -477,7 +516,8 @@ let exec m i size =
   end
 
 let current_instr m =
-  match fetch m m.pc with Some (i, _) -> Some i | None -> None
+  let off = m.pc - m.code_base in
+  if fetch m off > 0 then Some (instr_at m off) else None
 
 let profile_count m i =
   let k = instr_class i in
@@ -495,35 +535,33 @@ let branch_profile m =
   List.sort compare
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.branch_counts [])
 
-let step m =
-  match
-    (match m.attacker with Some a -> a m | None -> ());
-    match fetch m m.pc with
-    | None -> trap (Fault (Printf.sprintf "bad instruction fetch at 0x%x" m.pc))
-    | Some (i, size) ->
-      m.nsteps <- m.nsteps + 1;
-      if Telemetry.enabled () then profile_count m i;
-      exec m i size
-  with
-  | () -> None
-  | exception Trap r -> Some r
+(* One instruction; a trap escapes as [Trap] *)
+let step_exn m =
+  (match m.attacker with Some a -> a m | None -> ());
+  let off = m.pc - m.code_base in
+  let size = fetch m off in
+  if size = 0 then
+    trap (Fault (Printf.sprintf "bad instruction fetch at 0x%x" m.pc));
+  let i = instr_at m off in
+  m.nsteps <- m.nsteps + 1;
+  if Telemetry.enabled () then profile_count m i;
+  exec m i size
+
+let step m = match step_exn m with () -> None | exception Trap r -> Some r
 
 let run_byte m fuel =
-  let rec go remaining =
-    if remaining = 0 then Out_of_fuel
-    else begin
-      match step m with
-      | Some r -> r
-      | None -> go (remaining - 1)
-    end
-  in
-  go fuel
+  try
+    for _ = 1 to fuel do
+      step_exn m
+    done;
+    Out_of_fuel
+  with Trap r -> r
 
 (* ---- the threaded-code engine ----
 
    The byte engine pays, per retired instruction: a fetch (bounds
-   check, memo probe, an allocated [Some (instr, size)] pair), a
-   23-way constructor match, and a per-step exception bracket.  The
+   check, a memo probe through the page directory, the instruction read
+   from its memo page) and a 23-way constructor match.  The
    threaded engine pre-decodes each byte offset once into a dense
    handler index plus operand words in five parallel int arrays, so
    the steady-state loop is one array load and an integer-dispatch
@@ -597,35 +635,43 @@ let new_site m s =
   m.th_nsites <- m.th_nsites + 1;
   m.th_nsites - 1
 
-(* Match the rewriter's check sequence starting at absolute [addr]:
+(* The instruction at code offset [off] for the pre-decode matchers
+   below, its size being [fetch m off]: bytes that do not decode read as
+   [Halt], which no fusion pattern accepts. *)
+let decoded m off = if fetch m off > 0 then instr_at m off else Instr.Halt
+
+(* Match the rewriter's check sequence starting at code offset [off]:
      Bary_load (rb, slot); Tary_load (rt, rtgt); Cmp_rr (rb, rt);
      Jcc (Ne, check); Nop*pad; (Jmp_r rtgt | Call_r rtgt)
    (pad <= 3: the rewriter's [Align_end] pads so the call's return
    address is 4-aligned).  All components come from the shared decode
    memo, so a fused head replays exactly what the byte engine would
    decode at each offset. *)
-let match_check m addr =
-  match fetch m addr with
-  | Some (Instr.Bary_load (rb, slot), s0) -> begin
-    match fetch m (addr + s0) with
-    | Some (Instr.Tary_load (rt, rtgt), s1) -> begin
-      match fetch m (addr + s0 + s1) with
-      | Some (Instr.Cmp_rr (x, y), s2) when x = rb && y = rt -> begin
-        match fetch m (addr + s0 + s1 + s2) with
-        | Some (Instr.Jcc (Instr.Ne, check), s3) ->
-          let rec branch a pad =
+let match_check m off =
+  match decoded m off with
+  | Instr.Bary_load (rb, slot) -> begin
+    let o1 = off + fetch m off in
+    match decoded m o1 with
+    | Instr.Tary_load (rt, rtgt) -> begin
+      let o2 = o1 + fetch m o1 in
+      match decoded m o2 with
+      | Instr.Cmp_rr (x, y) when x = rb && y = rt -> begin
+        let o3 = o2 + fetch m o2 in
+        match decoded m o3 with
+        | Instr.Jcc (Instr.Ne, check) ->
+          let rec branch o pad =
             if pad > 3 then None
             else begin
-              match fetch m a with
-              | Some (Instr.Nop, s) -> branch (a + s) (pad + 1)
-              | Some (Instr.Jmp_r r, s) when r = rtgt && pad = 0 ->
-                Some (`Jmp, slot, rb, rt, rtgt, check, pad, a + s - addr)
-              | Some (Instr.Call_r r, s) when r = rtgt ->
-                Some (`Call, slot, rb, rt, rtgt, check, pad, a + s - addr)
+              match decoded m o with
+              | Instr.Nop -> branch (o + fetch m o) (pad + 1)
+              | Instr.Jmp_r r when r = rtgt && pad = 0 ->
+                Some (`Jmp, slot, rb, rt, rtgt, check, pad, o + fetch m o - off)
+              | Instr.Call_r r when r = rtgt ->
+                Some (`Call, slot, rb, rt, rtgt, check, pad, o + fetch m o - off)
               | _ -> None
             end
           in
-          branch (addr + s0 + s1 + s2 + s3) 0
+          branch (o3 + fetch m o3) 0
         | _ -> None
       end
       | _ -> None
@@ -635,7 +681,7 @@ let match_check m addr =
   | _ -> None
 
 let fuse_check_at m off ~pre_size ~rpop =
-  match match_check m (m.code_base + off + pre_size) with
+  match match_check m (off + pre_size) with
   | Some (kind, slot, rb, rt, rtgt, check, pad, size)
     when rpop < 0 || (rpop = rtgt && kind = `Jmp) ->
     let site =
@@ -705,38 +751,41 @@ let try_fuse m off i size =
   | Instr.Bary_load _ -> fuse_check_at m off ~pre_size:0 ~rpop:(-1)
   | Instr.Pop rpop -> fuse_check_at m off ~pre_size:size ~rpop
   | Instr.Cmp_rr (a, b) -> begin
-    match fetch m (m.code_base + off + size) with
-    | Some (Instr.Jcc (c, addr), s1) ->
+    match decoded m (off + size) with
+    | Instr.Jcc (c, addr) ->
       m.th_op.(off) <- 28;
       m.th_a.(off) <- a;
       m.th_b.(off) <- b;
       (* cond and total size packed in one word: both are small *)
-      m.th_p.(off) <- (cond_code c * 256) + size + s1;
+      m.th_p.(off) <- (cond_code c * 256) + size + fetch m (off + size);
       m.th_q.(off) <- addr;
       Some 28
     | _ -> None
   end
   | Instr.Cmp_ri (a, v) -> begin
-    match fetch m (m.code_base + off + size) with
-    | Some (Instr.Jcc (c, addr), s1) ->
+    match decoded m (off + size) with
+    | Instr.Jcc (c, addr) ->
       m.th_op.(off) <- 29;
       m.th_a.(off) <- a;
-      m.th_b.(off) <- (cond_code c * 256) + size + s1;
+      m.th_b.(off) <- (cond_code c * 256) + size + fetch m (off + size);
       m.th_p.(off) <- v;
       m.th_q.(off) <- addr;
       Some 29
     | _ -> None
   end
   | Instr.Mov_rr (x, rb) -> begin
-    match fetch m (m.code_base + off + size) with
-    | Some (Instr.Binop_i (Instr.Add, x1, o), s1) when x1 = x -> begin
-      match fetch m (m.code_base + off + size + s1) with
-      | Some (Instr.Binop_i (Instr.And, x2, mask), s2) when x2 = x -> begin
-        match fetch m (m.code_base + off + size + s1 + s2) with
-        | Some (Instr.Store (x3, 0, rs), s3) when x3 = x ->
+    let o1 = off + size in
+    match decoded m o1 with
+    | Instr.Binop_i (Instr.Add, x1, o) when x1 = x -> begin
+      let o2 = o1 + fetch m o1 in
+      match decoded m o2 with
+      | Instr.Binop_i (Instr.And, x2, mask) when x2 = x -> begin
+        let o3 = o2 + fetch m o2 in
+        match decoded m o3 with
+        | Instr.Store (x3, 0, rs) when x3 = x ->
           m.th_op.(off) <- 30;
           m.th_a.(off) <- x lor (rb lsl 4) lor (rs lsl 8)
-                          lor ((size + s1 + s2 + s3) lsl 12);
+                          lor ((o3 + fetch m o3 - off) lsl 12);
           m.th_p.(off) <- o;
           m.th_q.(off) <- mask;
           Some 30
@@ -750,11 +799,13 @@ let try_fuse m off i size =
 
 let predecode m off =
   m.th_predecodes <- m.th_predecodes + 1;
-  match fetch m (m.code_base + off) with
-  | None ->
+  let size = fetch m off in
+  if size = 0 then begin
     m.th_op.(off) <- 1;
     1
-  | Some (i, size) -> begin
+  end
+  else begin
+    let i = instr_at m off in
     match try_fuse m off i size with
     | Some op -> op
     | None -> install_base m off i size
@@ -1052,7 +1103,7 @@ let step_th m off op =
    every retired instruction, or fewer than [max-superinstruction]
    steps of fuel remain (a fused handler must not overshoot the fuel
    the byte engine would exhaust mid-sequence) — the loop defers to the
-   byte-path [step].  Everything it computes stays valid because both
+   byte-path [step_exn].  Everything it computes stays valid because both
    engines share the decode memo and all machine state. *)
 let run_threaded m fuel =
   (* fuel is retired instructions, so the budget is just a ceiling on
@@ -1062,9 +1113,8 @@ let run_threaded m fuel =
     while true do
       let remaining = limit - m.nsteps in
       if remaining <= 0 then trap Out_of_fuel;
-      if remaining < 8 || m.attacker <> None || Telemetry.enabled () then begin
-        match step m with Some r -> raise (Trap r) | None -> ()
-      end
+      if remaining < 8 || m.attacker <> None || Telemetry.enabled () then
+        step_exn m
       else begin
         let off = m.pc - m.code_base in
         if off < 0 || off >= m.code_len then

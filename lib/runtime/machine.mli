@@ -45,7 +45,8 @@ type t
 
 (** [create ~code_base ~code_capacity ~data_words] builds a machine with an
     empty code region (capacity reserved up front, like the paper's
-    reserved code range). [tables] enables the table-read instructions.
+    reserved code range; the decode memo grows with the loaded code, a
+    page per KiB). [tables] enables the table-read instructions.
     [dispatch] (default [Byte]) selects the execution engine.
     The stack pointer starts at [data_words] (the stack grows down).
     Unoccupied code bytes hold the [Halt] opcode. *)
@@ -92,7 +93,8 @@ val release : t -> unit
 
 (** [truncate_code m ~code_end] rolls the code region back so that
     {!code_end} is [code_end] again: the dropped suffix reverts to the
-    unoccupied-byte pattern and its decode cache is purged.  Loader-only
+    unoccupied-byte pattern, and every decode that read a dropped byte
+    is purged.  Loader-only
     (journal rollback of a failed load).  Raises [Invalid_argument] if
     [code_end] is outside the currently loaded region. *)
 val truncate_code : t -> code_end:int -> unit

@@ -36,10 +36,11 @@ let span phase hist ~load f =
       f
   end
 
+(* What a process keeps per loaded module: its name and its CFG
+   contribution.  The object file and the assembled program are dead
+   once [load] returns, so they are not retained. *)
 type loaded = {
-  lm_obj : Objfile.t;
-  lm_prog : Asm.program;
-  lm_slot_base : int;
+  lm_name : string;
   (* the module's CFG contribution, extracted once at load time — both
      the incremental merge and full regeneration (the differential
      oracle, the analyzers) consume this memo instead of re-walking the
@@ -120,7 +121,7 @@ let bindings tbl =
 
 let code_symbol_bindings t = bindings t.code_symbols
 let data_symbol_bindings t = bindings t.data_symbols
-let loaded_names t = List.rev_map (fun lm -> lm.lm_obj.Objfile.o_name) t.loaded
+let loaded_names t = List.rev_map (fun lm -> lm.lm_name) t.loaded
 
 (* ---- the load journal (failure-atomic dynamic linking) ----
 
@@ -598,9 +599,7 @@ let load_protocol t j (obj : Objfile.t) =
     span Telemetry.Event.phase_extract m_load_extract ~load:t.n_updates
       (fun () -> extract_module_input t obj prog ~slot_base)
   in
-  t.loaded <-
-    { lm_obj = obj; lm_prog = prog; lm_slot_base = slot_base; lm_input }
-    :: t.loaded;
+  t.loaded <- { lm_name = obj.o_name; lm_input } :: t.loaded;
   (* 9. generate and install the CFG (one update transaction): merge the
      new module into the merge state, or regenerate from scratch *)
   update_cfg t j lm_input

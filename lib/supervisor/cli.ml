@@ -141,6 +141,7 @@ let config_term =
         $ shard_breaker_arg $ slo_breaker_arg $ smoke_arg)
 
 let main config telemetry forensics =
+  let config = Fleet.effective config in
   if telemetry then Telemetry.enable ();
   if forensics <> None then Obs.Flightrec.set_dir forensics;
   Fmt.pr "fleet: %a@." Fleet.pp_config config;

@@ -72,6 +72,16 @@ let smoke ~seed =
       ];
   }
 
+let effective fc =
+  let tenants = max 2 fc.fc_tenants in
+  {
+    fc with
+    fc_tenants = tenants;
+    fc_workers = max 1 fc.fc_workers;
+    fc_loaders = min fc.fc_loaders (tenants / 2);
+    fc_shards = max 1 fc.fc_shards;
+  }
+
 let pp_config ppf fc =
   Fmt.pf ppf
     "seed=%Ld tenants=%d (%d loaders) workers=%d ticks=%d base=%d \
@@ -659,15 +669,7 @@ let percentile sorted p =
   | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let run fc =
-  let fc =
-    {
-      fc with
-      fc_tenants = max 2 fc.fc_tenants;
-      fc_workers = max 1 fc.fc_workers;
-      fc_loaders = min fc.fc_loaders (fc.fc_tenants / 2);
-      fc_shards = max 1 fc.fc_shards;
-    }
-  in
+  let fc = effective fc in
   Stress.begin_run ~seed:fc.fc_seed ~hoisted:false;
   (* alert ids count from this run's alerts *)
   Obs.Slo.reset ();

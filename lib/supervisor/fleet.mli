@@ -67,6 +67,11 @@ val default : seed:int64 -> config
 val smoke : seed:int64 -> config
 (** A small fast fleet (16 tenants) for CI and unit tests. *)
 
+val effective : config -> config
+(** The configuration {!run} actually runs: at least 2 tenants, 1 worker
+    and 1 shard, and at most half the tenants loaders.  Print this, not
+    the requested config, to say what a run does. *)
+
 val pp_config : Format.formatter -> config -> unit
 
 type report = {

@@ -11,10 +11,13 @@ let r11 = Instr.rscratch0
 let r12 = Instr.rscratch1
 let r13 = Instr.rscratch2
 
-(* A decoded stream with position/address cross-references. *)
+(* A decoded stream with position/address cross-references:
+   [pos_of_off.(addr - base)] is the position of the instruction starting
+   at [addr], or -1 when [addr] is mid-instruction. *)
 type stream = {
   instrs : (int * Instr.t) array; (* (address, instruction) *)
-  pos_of_addr : (int, int) Hashtbl.t;
+  base : int;
+  pos_of_off : int array;
 }
 
 let decode_stream ~base image =
@@ -24,14 +27,18 @@ let decode_stream ~base image =
     Error { at; what = Fmt.str "undecodable byte: %a" Vmisa.Encode.pp_decode_error e }
   | None ->
     let instrs = Array.of_list decoded in
-    let pos_of_addr = Hashtbl.create (Array.length instrs) in
-    Array.iteri (fun i (addr, _) -> Hashtbl.add pos_of_addr addr i) instrs;
-    Ok { instrs; pos_of_addr }
+    let pos_of_off = Array.make (String.length image) (-1) in
+    Array.iteri (fun i (addr, _) -> pos_of_off.(addr - base) <- i) instrs;
+    Ok { instrs; base; pos_of_off }
 
 let instr_at s pos =
   if pos >= 0 && pos < Array.length s.instrs then Some s.instrs.(pos) else None
 
-let pos_of s addr = Hashtbl.find_opt s.pos_of_addr addr
+let pos_of s addr =
+  let off = addr - s.base in
+  if off >= 0 && off < Array.length s.pos_of_off && s.pos_of_off.(off) >= 0
+  then Some s.pos_of_off.(off)
+  else None
 
 (* Step backward over alignment nops. *)
 let rec skip_nops_back s pos =

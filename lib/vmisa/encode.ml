@@ -77,115 +77,113 @@ let encode_all instrs =
   List.iter (encode buf) instrs;
   Buffer.contents buf
 
-(* Decoding: a tiny byte-cursor monad over [result]. *)
-let ( let* ) = Result.bind
+(* Decoding reads operands straight out of the string and leaves through
+   [Bad] at the first malformed byte, so a decode allocates only the
+   instruction and its result pair — the verifier decodes every loaded
+   byte, and the VM's fetch every first-executed offset.  Operands are
+   read in encoding order, so the first bad byte decides the error. *)
+exception Bad of decode_error
 
 let u8 code off =
-  if off >= String.length code then Error Truncated
-  else Ok (Char.code code.[off], off + 1)
+  if off >= String.length code then raise_notrace (Bad Truncated)
+  else Char.code code.[off]
 
 let reg code off =
-  let* r, off = u8 code off in
-  if r >= num_regs then Error (Bad_register r) else Ok (r, off)
+  let r = u8 code off in
+  if r >= num_regs then raise_notrace (Bad (Bad_register r)) else r
 
 let i32 code off =
-  if off + 4 > String.length code then Error Truncated
+  if off + 4 > String.length code then raise_notrace (Bad Truncated)
   else begin
     let b k = Char.code code.[off + k] in
     let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
     (* sign-extend from 32 bits *)
-    let v = (v lxor 0x80000000) - 0x80000000 in
-    Ok (v, off + 4)
+    (v lxor 0x80000000) - 0x80000000
   end
 
+(* the 64-bit little-endian word, wrapped to a native int exactly as
+   [Int64.to_int] would (the top bit is dropped) *)
 let i64 code off =
-  if off + 8 > String.length code then Error Truncated
+  if off + 8 > String.length code then raise_notrace (Bad Truncated)
   else begin
-    let v = ref 0L in
+    let v = ref 0 in
     for k = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code code.[off + k]))
+      v := (!v lsl 8) lor Char.code code.[off + k]
     done;
-    Ok (Int64.to_int !v, off + 8)
+    !v
   end
 
 let binop code off =
-  let* b, off = u8 code off in
-  match binop_of_code b with Some op -> Ok (op, off) | None -> Error (Bad_binop b)
+  let b = u8 code off in
+  match binop_of_code b with
+  | Some op -> op
+  | None -> raise_notrace (Bad (Bad_binop b))
 
 let cond code off =
-  let* c, off = u8 code off in
-  match cond_of_code c with Some cc -> Ok (cc, off) | None -> Error (Bad_cond c)
+  let c = u8 code off in
+  match cond_of_code c with
+  | Some cc -> cc
+  | None -> raise_notrace (Bad (Bad_cond c))
+
+let decode_exn code off =
+  let o = off + 1 in
+  match u8 code off with
+  | 0x00 -> (Nop, o)
+  | 0x01 -> (Halt, o)
+  | 0x02 -> (Ret, o)
+  | 0x03 -> (Syscall, o)
+  | 0x10 -> (Push (reg code o), o + 1)
+  | 0x11 -> (Pop (reg code o), o + 1)
+  | 0x12 -> (Call_r (reg code o), o + 1)
+  | 0x13 -> (Jmp_r (reg code o), o + 1)
+  | (0x20 | 0x21 | 0x22 | 0x23) as opc ->
+    let a = reg code o in
+    let b = reg code (o + 1) in
+    ( (match opc with
+      | 0x20 -> Mov_rr (a, b)
+      | 0x21 -> Cmp_rr (a, b)
+      | 0x22 -> Cmp_lo (a, b)
+      | _ -> Tary_load (a, b)),
+      o + 2 )
+  | 0x30 ->
+    let op = binop code o in
+    let rd = reg code (o + 1) in
+    let rs = reg code (o + 2) in
+    (Binop (op, rd, rs), o + 3)
+  | 0x40 -> (Jmp (i32 code o), o + 4)
+  | 0x41 -> (Call (i32 code o), o + 4)
+  | 0x50 ->
+    let c = cond code o in
+    (Jcc (c, i32 code (o + 1)), o + 5)
+  | 0x51 ->
+    let rd = reg code o in
+    (Bary_load (rd, i32 code (o + 1)), o + 5)
+  | 0x60 ->
+    let rd = reg code o in
+    let rs = reg code (o + 1) in
+    (Load (rd, rs, i32 code (o + 2)), o + 6)
+  | 0x61 ->
+    let rb = reg code o in
+    let rs = reg code (o + 1) in
+    (Store (rb, i32 code (o + 2), rs), o + 6)
+  | (0x70 | 0x71 | 0x72) as opc ->
+    let rd = reg code o in
+    let i = i64 code (o + 1) in
+    ( (match opc with
+      | 0x70 -> Mov_ri (rd, i)
+      | 0x71 -> Cmp_ri (rd, i)
+      | _ -> Test_ri (rd, i)),
+      o + 9 )
+  | 0x80 ->
+    let op = binop code o in
+    let rd = reg code (o + 1) in
+    (Binop_i (op, rd, i64 code (o + 2)), o + 10)
+  | b -> raise_notrace (Bad (Bad_opcode b))
 
 let decode code off =
-  let* opc, off = u8 code off in
-  match opc with
-  | 0x00 -> Ok (Nop, off)
-  | 0x01 -> Ok (Halt, off)
-  | 0x02 -> Ok (Ret, off)
-  | 0x03 -> Ok (Syscall, off)
-  | 0x10 -> let* r, off = reg code off in Ok (Push r, off)
-  | 0x11 -> let* r, off = reg code off in Ok (Pop r, off)
-  | 0x12 -> let* r, off = reg code off in Ok (Call_r r, off)
-  | 0x13 -> let* r, off = reg code off in Ok (Jmp_r r, off)
-  | 0x20 ->
-    let* rd, off = reg code off in
-    let* rs, off = reg code off in
-    Ok (Mov_rr (rd, rs), off)
-  | 0x21 ->
-    let* a, off = reg code off in
-    let* b, off = reg code off in
-    Ok (Cmp_rr (a, b), off)
-  | 0x22 ->
-    let* a, off = reg code off in
-    let* b, off = reg code off in
-    Ok (Cmp_lo (a, b), off)
-  | 0x23 ->
-    let* rd, off = reg code off in
-    let* rs, off = reg code off in
-    Ok (Tary_load (rd, rs), off)
-  | 0x30 ->
-    let* op, off = binop code off in
-    let* rd, off = reg code off in
-    let* rs, off = reg code off in
-    Ok (Binop (op, rd, rs), off)
-  | 0x40 -> let* a, off = i32 code off in Ok (Jmp a, off)
-  | 0x41 -> let* a, off = i32 code off in Ok (Call a, off)
-  | 0x50 ->
-    let* c, off = cond code off in
-    let* a, off = i32 code off in
-    Ok (Jcc (c, a), off)
-  | 0x51 ->
-    let* rd, off = reg code off in
-    let* i, off = i32 code off in
-    Ok (Bary_load (rd, i), off)
-  | 0x60 ->
-    let* rd, off = reg code off in
-    let* rs, off = reg code off in
-    let* o, off = i32 code off in
-    Ok (Load (rd, rs, o), off)
-  | 0x61 ->
-    let* rb, off = reg code off in
-    let* rs, off = reg code off in
-    let* o, off = i32 code off in
-    Ok (Store (rb, o, rs), off)
-  | 0x70 ->
-    let* rd, off = reg code off in
-    let* i, off = i64 code off in
-    Ok (Mov_ri (rd, i), off)
-  | 0x71 ->
-    let* rd, off = reg code off in
-    let* i, off = i64 code off in
-    Ok (Cmp_ri (rd, i), off)
-  | 0x72 ->
-    let* rd, off = reg code off in
-    let* i, off = i64 code off in
-    Ok (Test_ri (rd, i), off)
-  | 0x80 ->
-    let* op, off = binop code off in
-    let* rd, off = reg code off in
-    let* i, off = i64 code off in
-    Ok (Binop_i (op, rd, i), off)
-  | b -> Error (Bad_opcode b)
+  match decode_exn code off with
+  | r -> Ok r
+  | exception Bad e -> Error e
 
 let decode_all code =
   let n = String.length code in

@@ -137,6 +137,68 @@ let test_mid_instruction_gadget () =
   in
   [ run_obs m ]
 
+(* ---- truncate + re-append across a decode-memo page boundary ----
+
+   The memo is paged per KiB of code.  A gadget at offset 1022 — inside
+   a [Mov_ri]'s immediate — decodes as a [Jmp] whose address bytes
+   straddle the page boundary at 1024.  Rolling the code back to the
+   boundary and loading different bytes there must change what the
+   gadget decodes to, on both engines, though the gadget's own bytes
+   never moved: its decode read bytes that did. *)
+
+let test_memo_page_boundary () =
+  let base = Abi.code_base in
+  let jmp_at a =
+    (* a Jmp's encoding, as the low bytes of a Mov_ri immediate *)
+    let e = Encode.encode_all [ Instr.Jmp a ] in
+    let v = ref 0 in
+    for k = String.length e - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code e.[k]
+    done;
+    !v
+  in
+  let t1 = base + 1030 and t2 = base + 2054 in
+  (* same low address byte, so only bytes past the boundary differ *)
+  assert (t1 land 0xff = t2 land 0xff);
+  let head =
+    Instr.[ Mov_ri (0, Abi.sys_exit); Mov_ri (1, 7); Jmp (base + 1022) ]
+  in
+  let head_len = String.length (Encode.encode_all head) in
+  let nops n = List.init n (fun _ -> Instr.Nop) in
+  let image1 =
+    Encode.encode_all
+      (head
+      @ nops (1020 - head_len)
+      @ Instr.[ Mov_ri (2, jmp_at t1); Syscall ])
+  in
+  assert (String.length image1 = 1031);
+  (* from the boundary on: t2's upper address bytes, a Halt where the
+     stale gadget would land, then the exit path at t2 *)
+  let image2 =
+    let e = Encode.encode_all [ Instr.Jmp t2 ] in
+    String.sub e 2 3
+    ^ Encode.encode_all
+        (nops 3 @ [ Instr.Halt ]
+        @ nops (t2 - base - 1031)
+        @ Instr.[ Mov_ri (1, 9); Syscall ])
+  in
+  let scenario engine =
+    let m = boot engine [] in
+    ignore (Machine.append_code m image1);
+    Machine.set_pc m base;
+    let o1 = run_obs m in
+    Machine.truncate_code m ~code_end:(base + 1024);
+    ignore (Machine.append_code m image2);
+    Machine.set_pc m base;
+    let o2 = run_obs m in
+    [ o1; o2 ]
+  in
+  let b = scenario Machine.Byte and t = scenario Machine.Threaded in
+  Alcotest.check obs_list "engines agree" b t;
+  Alcotest.(check (list string))
+    "the gadget re-decodes" [ "exited(7)"; "exited(9)" ]
+    (List.map (fun o -> o.o_reason) b)
+
 (* ---- mid-install kill + recovery under a fused, hoisted check ---- *)
 
 let check_program =
@@ -265,6 +327,8 @@ let () =
             test_jump_to_unoccupied_byte;
           Alcotest.test_case "mid-instruction gadget" `Quick
             test_mid_instruction_gadget;
+          Alcotest.test_case "memo page boundary" `Quick
+            test_memo_page_boundary;
         ] );
       ( "tables",
         [

@@ -214,6 +214,38 @@ let test_refresh_preserves_ecns () =
       Alcotest.(check int) "new version" v (Id.version id2))
     before after
 
+(* A full install takes its entries in any order: the table it leaves
+   is the one the key-sorted entries give, a duplicated key keeping its
+   last entry.  A bad entry anywhere is refused before any slot is
+   written. *)
+let test_full_install_entry_order () =
+  let snapshot t = (Tables.tary_entries t, Tables.bary_entries t) in
+  let sorted = mk_tables () and shuffled = mk_tables () in
+  let v1 =
+    Tx.update sorted ~tary:[ (0x1004, 2); (0x1010, 5); (0x1020, 4) ]
+      ~bary:[ (0, 5); (3, 4); (7, 2) ]
+  in
+  let v2 =
+    Tx.update shuffled
+      ~tary:[ (0x1020, 4); (0x1010, 3); (0x1004, 2); (0x1010, 5) ]
+      ~bary:[ (7, 2); (3, 1); (0, 5); (3, 4) ]
+  in
+  Alcotest.(check int) "same version" v1 v2;
+  Alcotest.(check bool) "same tables" true (snapshot sorted = snapshot shuffled);
+  let before = snapshot shuffled in
+  List.iter
+    (fun (what, tary, bary) ->
+      (match Tx.update shuffled ~tary ~bary with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (what ^ ": tables untouched") true
+        (snapshot shuffled = before))
+    [
+      ("a late bad ECN", [ (0x1004, 1); (0x1010, 16384) ], [ (0, 1) ]);
+      ("a bad Bary slot", [ (0x1004, 1) ], [ (0, 1); (8, 1) ]);
+      ("a misaligned target", [ (0x1004, 1); (0x1011, 1) ], []);
+    ]
+
 let test_got_update_hook_runs_between_phases () =
   let t = mk_tables () in
   let observed = ref None in
@@ -353,6 +385,25 @@ let test_pass_allocates_nothing () =
     ];
   let hits, misses = Tx.site_stats site in
   Alcotest.(check (pair int int)) "every hoisted call hit" (n, 1) (hits, misses)
+
+(* A full install rewrites every slot of the covered table but allocates
+   only for the CFG it is given: a per-slot image, or a hook argument
+   boxed per slot, costs words per slot. *)
+let test_full_install_allocates_per_entry () =
+  let slots = 1 lsl 16 in
+  let t =
+    Tables.create ~code_base:0x1000 ~capacity:(4 * slots) ~bary_slots:4096 ()
+  in
+  let tary = List.init 16 (fun i -> (0x1000 + (4096 * i), i)) in
+  let bary = List.init 16 (fun i -> (i, i)) in
+  ignore (Tx.update t ~tary ~bary);
+  let minor0 = Gc.minor_words () and major0 = (Gc.quick_stat ()).major_words in
+  ignore (Sys.opaque_identity (Tx.update t ~tary ~bary));
+  let words =
+    Gc.minor_words () -. minor0 +. ((Gc.quick_stat ()).major_words -. major0)
+  in
+  if words >= float_of_int (slots / 16) then
+    Alcotest.failf "a full install of %d slots allocated %.0f words" slots words
 
 (* ---------- the ABA guard and version wraparound (§5.2) ---------- *)
 
@@ -508,6 +559,10 @@ let () =
           Alcotest.test_case "max_retries:0 = no retries" `Quick
             test_zero_max_retries_means_no_retry;
           Alcotest.test_case "refresh" `Quick test_refresh_preserves_ecns;
+          Alcotest.test_case "full install entry order" `Quick
+            test_full_install_entry_order;
+          Alcotest.test_case "full install allocates per entry" `Quick
+            test_full_install_allocates_per_entry;
           Alcotest.test_case "got hook" `Quick
             test_got_update_hook_runs_between_phases;
         ] );

@@ -205,6 +205,54 @@ let test_decode_cache_invalidation () =
   | Machine.Fault _ -> ()
   | r -> Alcotest.failf "truncated region: %a" Machine.pp_exit_reason r)
 
+(* ---- footprint: the byte engine's fetch allocates nothing, and a
+   process's memory follows the code it loaded ---- *)
+
+let suite_process ?(instrumented = true) name =
+  let b = Option.get (Suite.Programs.find name) in
+  ( b,
+    Mcfi.Pipeline.build_process ~instrumented ~dispatch:Machine.Byte
+      ~sources:[ (b.name, b.source) ] () )
+
+(* Minor-heap words per retired instruction once a byte-engine run of a
+   suite program is warm: a fetch that boxes its result costs whole
+   words per step.  The first [warm] steps decode the hot code into the
+   memo (each first decode allocates its instruction) and are not
+   counted; what the rest allocates is the program's own output and the
+   odd cold decode. *)
+let test_byte_run_allocates_nothing () =
+  let b, proc = suite_process "perlite" in
+  let m = Mcfi_runtime.Process.machine proc in
+  let warm = 500_000 in
+  (match Mcfi_runtime.Process.run ~fuel:warm proc with
+  | Machine.Out_of_fuel -> ()
+  | r -> Alcotest.failf "perlite warm-up: %a" Machine.pp_exit_reason r);
+  let before = Gc.minor_words () in
+  let r = Machine.run m in
+  let words = Gc.minor_words () -. before in
+  if r <> Machine.Exited b.expected_exit then
+    Alcotest.failf "perlite: %a" Machine.pp_exit_reason r;
+  let steps = Machine.steps m - warm in
+  let per_step = words /. float_of_int steps in
+  if per_step >= 0.01 then
+    Alcotest.failf
+      "byte engine allocates %.4f minor words per step over %d steps \
+       (budget < 0.01)"
+      per_step steps
+
+(* A freshly loaded suite program's whole process — image, data region,
+   ID tables, decode memo, CFG state — in words reachable from it.  A
+   decode memo sized to the reserved code capacity (two 4 Mi-entry
+   arrays, 64 MiB) cannot fit under the bound. *)
+let test_process_sized_to_loaded_code () =
+  let _, proc = suite_process "perlite" in
+  let mib =
+    float_of_int (Obj.reachable_words (Obj.repr proc) * (Sys.word_size / 8))
+    /. 1048576.0
+  in
+  if mib >= 32.0 then
+    Alcotest.failf "a loaded perlite process holds %.1f MiB (budget < 32)" mib
+
 let test_sbrk_allocates_monotonically () =
   let m = boot [ Instr.Nop ] in
   let a = Machine.sbrk m 10 in
@@ -232,6 +280,13 @@ let () =
             test_null_page_rejected_everywhere;
           Alcotest.test_case "decode cache invalidation" `Quick
             test_decode_cache_invalidation;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "byte run allocates nothing" `Quick
+            test_byte_run_allocates_nothing;
+          Alcotest.test_case "process sized to loaded code" `Quick
+            test_process_sized_to_loaded_code;
         ] );
       ( "security-relevant",
         [

@@ -254,10 +254,10 @@ let test_old_bundle_parses () =
     ]
 
 (* The harness tallies each check's real retry count: after a torture
-   run that retried, a bundle's tallies must account for every retry.
-   The probe bundle is taken after the run because a check's retries
-   land in the tally when it completes — a watchdog bundle taken
-   mid-check cannot see them. *)
+   run, plus checks that retry by construction, a bundle's tallies must
+   account for every retry.  The probe bundle is taken after the run
+   because a check's retries land in the tally when it completes — a
+   watchdog bundle taken mid-check cannot see them. *)
 let test_bundle_tallies_retries () =
   FR.reset ();
   let sc =
@@ -273,7 +273,54 @@ let test_bundle_tallies_retries () =
   | [] -> ()
   | an ->
     Alcotest.failf "oracle anomalies:@.%a" (Fmt.list Stress.pp_anomaly) an);
+  (* The torture's checkers retry only when scheduling lands a check on
+     an install in flight, which a loaded host may never arrange.  Make
+     the retries certain on a rig of our own: kill an install between
+     its Tary and Bary phases, which leaves every Tary slot at the new
+     version and every Bary slot at the old one until a lock holder
+     redoes the journal, then run judged checks on this domain until
+     one has read across the skew.  Its watchdog redoes the install. *)
+  let module Prng = Mcfi_util.Prng in
+  let prng = Prng.create 5L in
+  let rig =
+    Stress.create ~seed:5L ~pool_prng:(Prng.split prng) ~cfgs:2 ~slots:4
+      ~targets:16 ~shards:1 ~log:8 ~across:false
+  in
+  let sink = Stress.sink () in
+  (match
+     Faults.with_plan
+       (Faults.Plan.At { point = Faults.Plan.Between_tary_and_bary; hit = 1 })
+       (fun () ->
+         Stress.install rig sink ~kill:false ~shard:0 ~label:"parked" prng 1)
+   with
+  | Stress.Killed -> ()
+  | _ -> Alcotest.fail "the install was not killed between its phases");
+  let fr = Telemetry.tally () in
+  let watchdog =
+    {
+      Idtables.Tx.wd_deadline = 64;
+      wd_on_expire = Idtables.Tx.Wait_for_updater;
+    }
+  in
+  let jitter = Idtables.Tx.domain_jitter () in
+  (* [Stress.check] zeroes the counter, so it ends holding the last
+     check's retries *)
+  let retried = ref 0 and checks = ref 0 in
+  while !retried = 0 && !checks < 256 do
+    incr checks;
+    ignore
+      (Stress.check rig sink fr ~shard:0 ~watchdog ~jitter ~retries:retried
+         ~on_retry:(fun () -> incr retried)
+         ~label:"across the skew" prng)
+  done;
+  let audit, _, _ = Stress.finish rig in
+  (match audit @ Stress.anomalies sink with
+  | [] -> ()
+  | an ->
+    Alcotest.failf "rig anomalies:@.%a" (Fmt.list Stress.pp_anomaly) an);
   let retries = (Faults.Stats.snapshot ()).Faults.Stats.retries in
+  if !retried = 0 then
+    Alcotest.failf "%d checks across a torn install never retried" !checks;
   if retries = 0 then Alcotest.fail "scenario never retried";
   match FR.record_trigger FR.Oracle_anomaly ~reason:"retry tally probe" () with
   | None -> Alcotest.fail "probe trigger produced no bundle"

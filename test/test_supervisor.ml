@@ -386,6 +386,28 @@ let test_cli_parsing () =
       (fc = { (Fl.smoke ~seed:1L) with Fl.fc_shards = 4; fc_shard_breaker = 6 })
   | _ -> Alcotest.fail "sharded smoke flags did not parse"
 
+(* The config `mcfi fleet` prints is the one the run uses: a loader
+   count above half the tenants is clamped before it is printed, and the
+   run reports the same clamped config. *)
+let test_cli_prints_effective_config () =
+  match
+    Cmdliner.Cmd.eval_value ~err:quiet ~help:quiet
+      ~argv:(argv [ "--smoke"; "--tenants"; "4"; "--loaders"; "5" ])
+      (fleet_cmd Supervisor.Cli.config_term)
+  with
+  | Ok (`Ok fc) ->
+    let eff = Fl.effective fc in
+    Alcotest.(check int) "loaders clamped to half the tenants" 2
+      eff.Fl.fc_loaders;
+    Alcotest.(check bool) "effective is a fixpoint" true (Fl.effective eff = eff);
+    Alcotest.(check bool) "printed as run" true
+      (String.starts_with ~prefix:"seed=1 tenants=4 (2 loaders)"
+         (Fmt.str "%a" Fl.pp_config eff));
+    let r = Fl.run { fc with Fl.fc_ticks = 4 } in
+    Alcotest.(check bool) "the run reports the printed config" true
+      (r.Fl.fr_config = { eff with Fl.fc_ticks = 4 })
+  | _ -> Alcotest.fail "smoke flags did not parse"
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -430,5 +452,9 @@ let () =
             test_shard_breaker_confines;
         ] );
       ( "cli",
-        [ Alcotest.test_case "fleet flag parsing" `Quick test_cli_parsing ] );
+        [
+          Alcotest.test_case "fleet flag parsing" `Quick test_cli_parsing;
+          Alcotest.test_case "prints the config it runs" `Quick
+            test_cli_prints_effective_config;
+        ] );
     ]
